@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Check the pendulum correspondence along the fundamental branch.
 
-For a grid of branch parameters, compares the elliptic-integral swing
-period with the arc length of one profile period, and the swing amplitude
-with arctan of the profile slope.  Writes the table as CSV.
+For a grid of branch parameters, compares the swing period from Gauss
+quadrature of the elliptic integral with the closed-form arc length
+4 K(m)/sqrt(lambda) of one profile period, and the swing amplitude with
+arctan of the profile slope.  Writes the table as CSV.
 """
 
 import argparse

@@ -33,6 +33,7 @@ from .branch import (
 from .config import RunConfig
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     EventNotFoundError,
     IntegrationError,

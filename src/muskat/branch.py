@@ -20,9 +20,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import brentq
 
-from . import ivp
+from . import elliptic, ivp
 from . import period as period_mod
-from .errors import DomainError, OutOfRangeError, ParityError, SaturationError
+from .errors import ConvergenceError, DomainError, OutOfRangeError, ParityError, SaturationError
 from .ivp import SolutionProfile
 from .quadrature import gauss_panels
 from .special import constants
@@ -57,6 +57,9 @@ DEFAULT_ALPHA_MAX = 1e8
 
 #: relative half-width of the h == h_star comparison band
 H_STAR_REL_TOL = 1e-9
+
+#: bound on the 1e-12 steps lambda_floor takes off the bracketed root
+FLOOR_NUDGES = 1000
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,23 @@ def lambda_floor(alpha_max: float = DEFAULT_ALPHA_MAX) -> float:
     """Smallest branch parameter resolvable under the slope cap.
 
     Solves theta(lam, alpha_max) = pi/2; below this lam (but above
-    lambda_star) the branch slope exceeds alpha_max.
+    lambda_star) the branch slope exceeds alpha_max.  Raises
+    ConvergenceError if FLOOR_NUDGES steps of 1e-12 do not reach the
+    resolvable side of the root.
     """
     c = constants()
     f = lambda lam: period_mod.theta(lam, alpha_max) - 0.5 * math.pi
     root = float(brentq(f, c.lambda_star, 1.0, xtol=1e-15))
-    # land on the resolvable side so alpha_of_lambda(root) cannot saturate
-    while f(root) >= 0.0:
+    # land on the resolvable side so alpha_of_lambda(root) cannot saturate;
+    # brentq leaves the root within 1e-15, so one nudge is the usual count
+    for _ in range(FLOOR_NUDGES):
+        if f(root) < 0.0:
+            return root
         root += 1e-12
-    return root
+    raise ConvergenceError(
+        f"lambda_floor for alpha_max={alpha_max:g} still saturates after "
+        f"{FLOOR_NUDGES} nudges of 1e-12 (at lambda={root:.15g})"
+    )
 
 
 def lambda_h(
@@ -254,20 +265,21 @@ def lambda_h(
 def profile_at(
     lam: float,
     n_samples: int = 513,
-    ode_tol: float = 1e-10,
     root_tol: float = 1e-12,
     alpha_max: float = DEFAULT_ALPHA_MAX,
 ) -> SolutionProfile:
     """The odd minimal-period-2*pi profile at lam in (lambda_star, 1].
 
-    Solves alpha(lam), integrates the quarter arc, and extends by odd
-    reflection; the detected period equals 2*pi to root-solve accuracy.
-    Propagates OutOfRangeError / SaturationError from the slope solve.
+    Solves alpha(lam), takes the quarter arc in closed form (the Jacobi
+    arc of ``elliptic.Arc``), and extends it by odd reflection; the period
+    4 (2E - K)/sqrt(lam) equals 2*pi to root-solve accuracy.  Propagates
+    OutOfRangeError / SaturationError from the slope solve.
     """
     a = alpha_of_lambda(lam, root_tol, alpha_max)
     if a == 0.0:
         return ivp.zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
-    q = ivp.solve_quarter(lam, a, tol=ode_tol)
+    arc = elliptic.Arc(lam, a)
+    q = ivp.QuarterProfile(lam=lam, alpha=a, theta_end=arc.quarter, dense=arc.rising_quarter)
     return ivp.extend_odd_periodic(q, n_samples=n_samples)
 
 
@@ -463,11 +475,11 @@ class ExpansionFit:
     ratios: tuple[float, ...]
 
 
-def _lambda_for_coefficient(eps_base: float, root_tol: float, ode_tol: float) -> float:
+def _lambda_for_coefficient(eps_base: float, root_tol: float) -> float:
     """Base lam whose odd 2*pi profile has first sine coefficient eps_base."""
 
     def coefficient(lam: float) -> float:
-        prof = profile_at(lam, n_samples=65, ode_tol=ode_tol, root_tol=root_tol)
+        prof = profile_at(lam, n_samples=65, root_tol=root_tol)
         return fourier_sine_coefficient(prof, 1)
 
     f = lambda lam: coefficient(lam) - eps_base
@@ -487,7 +499,6 @@ def expansion_check(
     l: int = 1,
     eps_list: tuple[float, ...] = (0.02, 0.04, 0.08),
     root_tol: float = 1e-12,
-    ode_tol: float = 1e-10,
 ) -> ExpansionFit:
     """Measure the quadratic coefficient of gamma along the mode-l branch.
 
@@ -509,7 +520,7 @@ def expansion_check(
     gammas = []
     ratios = []
     for eps in eps_sorted:
-        lam = _lambda_for_coefficient(l * eps, root_tol, ode_tol)
+        lam = _lambda_for_coefficient(l * eps, root_tol)
         gam = gamma_of_lambda(p, lam) / (l * l)
         gammas.append(gam)
         ratios.append((gam - gb) / eps**2)
@@ -532,28 +543,23 @@ def expansion_check(
 def coexistence_levels(p: PhysicalParams, l_max: int) -> list[tuple[int, tuple[float, float]]]:
     """Modes l whose branch shares a gamma window with the mode l+1 branch.
 
-    Level l qualifies when gamma_bar_{l+1} < gamma_bar_l <
-    gamma_star/(l+1)^2 < gamma_star/l^2, i.e. when lambda_star <
-    (l/(l+1))^2; the shared window is (gamma_bar_l, gamma_star/(l+1)^2).
+    The mode-k branch spans gamma in [gamma_bar_k, sup_k) with
+    sup_k = lambda_h(k h).gamma_h / k^2: gamma_star / k^2 when k h >= h_star,
+    and the lower touching endpoint when k h < h_star, where the fingers
+    reach the walls first.  Level l qualifies when the shared window
+    (gamma_bar_l, min(sup_l, sup_{l+1})) is not empty.  When every mode
+    from 2 on is deep enough (2 h >= h_star) that is the condition
+    lambda_star < (l/(l+1))^2 with window (gamma_bar_l, gamma_star/(l+1)^2).
     Level 1 never qualifies: lambda_star = 1/K(1/2)^2 = 0.2909 > 1/4, so
-    the mode-2 sup gamma_star/4 lies below gamma_bar_1.
-
-    The windows ignore p.h: they take gamma_star / l^2 as the sup of every
-    branch, which holds when l h >= h_star.  A branch that touches the walls
-    (l h < h_star) ends earlier, at gamma_h / l^2, so its true window is a
-    sub-window of the one used here.  That can shrink or empty a listed
-    shared window in a shallow cell, but never makes disjoint windows
-    overlap, so an absent level (level 1 among them) stays absent.
+    even the deep-cell mode-2 sup gamma_star/4 lies below gamma_bar_1.
     """
     if l_max < 2:
         raise DomainError(f"l_max must be >= 2, got {l_max}")
-    gamma_star = p.weight / constants().lambda_star
+    sups = [lambda_h(replace(p, h=k * p.h)).gamma_h / k**2 for k in range(1, l_max + 2)]
     out: list[tuple[int, tuple[float, float]]] = []
     for l in range(1, l_max + 1):
         gb_l = gamma_bar(p, l)
-        gb_next = gamma_bar(p, l + 1)
-        hi_next = gamma_star / (l + 1) ** 2
-        hi_l = gamma_star / l**2
-        if gb_next < gb_l < hi_next < hi_l:
-            out.append((l, (gb_l, hi_next)))
+        hi = min(sups[l - 1], sups[l])
+        if gb_l < hi:
+            out.append((l, (gb_l, hi)))
     return out

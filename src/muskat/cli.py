@@ -2,8 +2,8 @@
 
 Subcommands: constants, classify, branch, profile, pendulum, coexist,
 expansion-check.  Exit codes: 0 success, 1 numerical failure (saturation,
-singularity, integration), 2 invalid input.  Flag values override config
-file values, which override built-in defaults.
+singularity, integration, non-convergence), 2 invalid input.  Flag values
+override config file values, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from . import pendulum as pendulum_mod
 from .config import RunConfig
 from .errors import (
     ConfigError,
+    ConvergenceError,
     DomainError,
     EventNotFoundError,
     IntegrationError,
@@ -55,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
         sp.add_argument("--rho-minus", type=float, default=None, help="density of the lower fluid")
         sp.add_argument("--h", type=float, default=None, help="cell half-height")
-        sp.add_argument("--tol", type=float, default=None, help="sets quadrature, ODE and root tolerances")
+        sp.add_argument("--tol", type=float, default=None, help="sets quadrature and root tolerances")
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
@@ -116,7 +117,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
     )
     if args.tol is not None:
-        overrides.update(quad_tol=args.tol, ode_tol=args.tol, root_tol=args.tol)
+        overrides.update(quad_tol=args.tol, root_tol=args.tol)
     n = getattr(args, "n", None)
     if n is not None:
         overrides.update(n_points=n, n_samples=n)
@@ -220,7 +221,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
             f"for l={l}, h={p.h:g}",
         )
     prof = branch_mod.profile_at(
-        lam, n_samples=cfg.n_samples, ode_tol=cfg.ode_tol, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
+        lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
     )
     if prof.alpha > ALPHA_WARN:
         _warn(
@@ -255,7 +256,7 @@ def cmd_pendulum(cfg: RunConfig, args) -> None:
     p = cfg.physical()
     lam = _base_lambda(cfg, args, 1)
     prof = branch_mod.profile_at(
-        lam, n_samples=cfg.n_samples, ode_tol=cfg.ode_tol, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
+        lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
     )
     if prof.alpha > ALPHA_WARN:
         _warn(
@@ -305,7 +306,7 @@ def cmd_expansion_check(cfg: RunConfig, args) -> None:
         eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"--eps must be a comma-separated float list, got {args.eps!r}") from exc
-    fit = branch_mod.expansion_check(p, l=args.l, eps_list=eps_list, root_tol=cfg.root_tol, ode_tol=cfg.ode_tol)
+    fit = branch_mod.expansion_check(p, l=args.l, eps_list=eps_list, root_tol=cfg.root_tol)
     metadata = {
         "kind": "expansion-check",
         "l": fit.l,
@@ -342,7 +343,9 @@ def main(argv=None) -> int:
     except (ConfigError, DomainError, OutOfRangeError, ParityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SaturationError, SingularityError, EventNotFoundError, IntegrationError) as exc:
+    except (
+        ConvergenceError, SaturationError, SingularityError, EventNotFoundError, IntegrationError
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

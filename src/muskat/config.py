@@ -25,7 +25,6 @@ class RunConfig:
     rho_minus: float = 0.0
     h: float = 2.0
     quad_tol: float = 1e-12
-    ode_tol: float = 1e-10
     root_tol: float = 1e-12
     n_points: int = 50
     n_samples: int = 513
@@ -35,7 +34,7 @@ class RunConfig:
     precision: int = 17
 
     def validate(self) -> None:
-        for name in ("quad_tol", "ode_tol", "root_tol"):
+        for name in ("quad_tol", "root_tol"):
             if getattr(self, name) <= 0.0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         for name in ("n_points", "n_samples"):

@@ -1,0 +1,156 @@
+"""The steady arc in closed form, through Jacobi elliptic functions.
+
+The profile with eigenvalue ``lam`` and slope ``alpha`` at its zero
+crossing, measured from its crest by the arc length s with
+u = sqrt(lam) s, is
+
+    f(u)  = 2 sqrt(m) cn(u|m) / sqrt(lam),
+    f'(u) = -2 sqrt(m) sn dn / (1 - 2 m sn^2),
+    x(u)  = (2 E(am u|m) - u) / sqrt(lam) = (2 (E u / K + Z(u)) - u) / sqrt(lam),
+
+with b = 1/sqrt(1 + alpha^2), parameter m = (1 - b)/2 < 1/2, K = K(m),
+E = E(m) and the Jacobi zeta function Z.  The same arc is the pendulum
+swing theta = -2 asin(sqrt(m) sn(u|m)), theta' = -2 sqrt(lam m) cn(u|m)
+with amplitude arctan(alpha) and period L = 4 K / sqrt(lam); the crest
+lies (2 E - K)/sqrt(lam) in x from the zero crossing (DLMF §22.2, §22.16;
+Byrd & Friedman, Handbook of Elliptic Integrals).
+
+The slope's denominator is evaluated as b + 2 m cn^2, which equals
+1 - 2 m sn^2 but keeps its digits at the zero crossing, where it falls to
+b.  Z is summed from its nome series
+
+    Z(u) = (2 pi / K) sum_n q^n / (1 - q^(2n)) sin(n pi u / K),
+    q = exp(-pi K(1 - m) / K(m)) <= exp(-pi),
+
+so twelve terms reach 1e-17.  scipy's incomplete ``ellipeinc`` is not
+used: it returns wrong values at isolated arguments.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from scipy.special import ellipe, ellipj, ellipk, ellipkm1
+
+from .errors import ConvergenceError, DomainError
+from .period import beta_of_alpha, one_minus_beta
+
+__all__ = ["Arc"]
+
+ZETA_TERMS = 12
+TABLE_NODES = 129
+MAX_NEWTON = 64
+
+
+class Arc:
+    """The steady arc of (lam, alpha) as a function of u = sqrt(lam) s.
+
+    ``quarter`` is the abscissa span from the crest to the zero crossing,
+    which u covers on [0, K]; ``length`` is the arc length of one period,
+    4 K / sqrt(lam), which is also the swing period.
+    """
+
+    def __init__(self, lam: float, alpha: float):
+        if lam <= 0.0:
+            raise DomainError(f"lambda must be positive, got {lam}")
+        if alpha < 0.0:
+            raise DomainError(f"alpha must be nonnegative, got {alpha}")
+        self.lam = lam
+        self.alpha = alpha
+        self.b = beta_of_alpha(alpha)
+        self.m = 0.5 * one_minus_beta(alpha)
+        self.K = float(ellipk(self.m))
+        self.E = float(ellipe(self.m))
+        self.root_lam = math.sqrt(lam)
+        self.quarter = (2.0 * self.E - self.K) / self.root_lam
+        self.length = 4.0 * self.K / self.root_lam
+        q = math.exp(-math.pi * float(ellipkm1(self.m)) / self.K)
+        n = np.arange(1, ZETA_TERMS + 1)
+        n = n[q**n > 1e-18]
+        self._wave = n * (math.pi / self.K)
+        self._zeta = (2.0 * math.pi / self.K) * q**n / (1.0 - q ** (2 * n))
+        self._u_nodes = np.linspace(0.0, self.K, TABLE_NODES)
+        self._x_nodes = self.x(self._u_nodes)
+        self._dxdu_nodes = self._dxdu(ellipj(self._u_nodes, self.m)[1])
+
+    def x(self, u):
+        """Abscissa of the point at u, measured from the crest."""
+        u = np.asarray(u, dtype=float)
+        zeta = np.sin(np.multiply.outer(u, self._wave)) @ self._zeta
+        return (2.0 * (self.E / self.K * u + zeta) - u) / self.root_lam
+
+    def _dxdu(self, cn):
+        return (self.b + 2.0 * self.m * cn * cn) / self.root_lam
+
+    def _profile(self, sn, cn, dn):
+        fp = -2.0 * math.sqrt(self.m) * sn * dn / (self.b + 2.0 * self.m * cn * cn)
+        return 2.0 * math.sqrt(self.m) * cn / self.root_lam, fp
+
+    def profile(self, u):
+        """(f, f') of the even profile, crest up, at u."""
+        sn, cn, dn, _ = ellipj(u, self.m)
+        return self._profile(sn, cn, dn)
+
+    def swing(self, u):
+        """(theta, theta') of the pendulum swing at u, starting from the crest."""
+        sn, cn, _, _ = ellipj(u, self.m)
+        return -2.0 * np.arcsin(math.sqrt(self.m) * sn), -2.0 * math.sqrt(self.lam * self.m) * cn
+
+    def rising_quarter(self, x):
+        """(f, f') on the quarter from the zero crossing (x = 0) to the crest (x = quarter)."""
+        _, sn, cn, dn = self._invert(self.quarter - np.asarray(x, dtype=float))
+        f, fp = self._profile(sn, cn, dn)
+        return f, -fp
+
+    def u_of_x(self, x):
+        """The u in [0, K] whose abscissa is x, for x in [0, quarter]."""
+        return self._invert(x)[0]
+
+    def _invert(self, x):
+        """u(x) and (sn, cn, dn) there, by safeguarded Newton.
+
+        dx/du = (b + 2 m cn^2)/sqrt(lam) >= b/sqrt(lam).  The start is the
+        cubic Hermite interpolant of u(x) on a table of x(u) over a uniform
+        u grid, and a step that leaves the table cell's bracket is replaced
+        by bisection.  Raises ConvergenceError if MAX_NEWTON steps do not
+        reach the rounding floor.
+        """
+        x = np.clip(np.asarray(x, dtype=float), 0.0, self.quarter)
+        shape = x.shape
+        x = x.ravel()
+        j = np.clip(np.searchsorted(self._x_nodes, x), 1, TABLE_NODES - 1)
+        lo, hi = self._u_nodes[j - 1], self._u_nodes[j]
+        x0, x1 = self._x_nodes[j - 1], self._x_nodes[j]
+        h = x1 - x0
+        t = (x - x0) / h
+        m0, m1 = h / self._dxdu_nodes[j - 1], h / self._dxdu_nodes[j]
+        u = (
+            (1.0 + 2.0 * t) * (1.0 - t) ** 2 * lo
+            + t * t * (3.0 - 2.0 * t) * hi
+            + t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
+        )
+        u = np.clip(u, lo, hi)
+        sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
+        tol_x = 8.0 * np.finfo(float).eps * self.K / self.root_lam
+        tol_u = 4.0 * np.finfo(float).eps * self.K
+        todo = np.arange(x.size)
+        for _ in range(MAX_NEWTON):
+            ut = u[todo]
+            resid = self.x(ut) - x[todo]
+            sn[todo], cn[todo], dn[todo], _ = ellipj(ut, self.m)
+            step = resid / self._dxdu(cn[todo])
+            lo_t = np.where(resid < 0.0, ut, lo[todo])
+            hi_t = np.where(resid > 0.0, ut, hi[todo])
+            lo[todo], hi[todo] = lo_t, hi_t
+            new = ut - step
+            new = np.where((new < lo_t) | (new > hi_t), 0.5 * (lo_t + hi_t), new)
+            going = (np.abs(resid) > tol_x) & (np.abs(step) > tol_u)
+            u[todo] = np.where(going, new, ut)
+            todo = todo[going]
+            if todo.size == 0:
+                return u.reshape(shape), sn.reshape(shape), cn.reshape(shape), dn.reshape(shape)
+        raise ConvergenceError(
+            f"arc inversion did not converge in {MAX_NEWTON} Newton steps "
+            f"at {todo.size} abscissae (lambda={self.lam:.12g}, alpha={self.alpha:.6g})"
+        )

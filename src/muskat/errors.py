@@ -35,6 +35,10 @@ class EventNotFoundError(MuskatError, RuntimeError):
     """
 
 
+class ConvergenceError(MuskatError, RuntimeError):
+    """An iteration hit its step bound before reaching its tolerance."""
+
+
 class IntegrationError(MuskatError, RuntimeError):
     """The adaptive stepper stalled; the message carries the location."""
 

@@ -39,15 +39,15 @@ def _write_csv(fh: IO[str], metadata, columns, precision):
     for arr in arrays:
         if arr.size != n_rows:
             raise ValueError("all columns must have the same length")
-    for i in range(n_rows):
-        cells = []
-        for arr in arrays:
-            v = arr[i]
-            if np.issubdtype(arr.dtype, np.floating):
-                cells.append(format_float(float(v), precision))
-            else:
-                cells.append(str(v))
-        fh.write(",".join(cells) + "\n")
+    # float or plain formatting is decided once per column, not per cell
+    cells = [
+        [format_float(v, precision) for v in arr.astype(float).tolist()]
+        if np.issubdtype(arr.dtype, np.floating)
+        else [str(v) for v in arr]
+        for arr in arrays
+    ]
+    for row in zip(*cells):
+        fh.write(",".join(row) + "\n")
 
 
 def _write_json(fh: IO[str], metadata, columns, precision):

@@ -1,4 +1,4 @@
-"""Initial-value integration of the steady interface equation.
+"""Profile containers, the odd periodic extension, and the ODE route.
 
 The second-order equation f'' / (1 + f'^2)^(3/2) + lam * f = 0 with
 f(0) = 0, f'(0) = alpha is integrated as the first-order system
@@ -8,9 +8,14 @@ f(0) = 0, f'(0) = alpha is integrated as the first-order system
 The quantity 1/sqrt(1 + g^2) - lam f^2 / 2 is an exact first integral
 (equal to beta = 1/sqrt(1 + alpha^2) along trajectories), which makes
 energy drift a sharp correctness monitor.  The quarter period is located
-as the first zero of g by event detection on the dense output, and full
-periodic profiles come from the four-piece odd reflection of the
-quarter-period arc.
+as the first zero of g by event detection on the dense output.
+
+Production profiles do not use this ODE route: ``branch.profile_at`` takes
+the quarter arc in closed form (``elliptic.Arc``).  ``integrate``,
+``quarter_period`` and ``solve_quarter`` stay public as the independent
+oracle the test suite checks the closed form against.  Full periodic
+profiles come from the four-piece odd reflection of a quarter-period arc,
+whichever route produced it.
 """
 
 from __future__ import annotations
@@ -144,17 +149,18 @@ def quarter_period(lam: float, alpha: float, tol: float = 1e-10) -> float:
 
 @dataclass
 class QuarterProfile:
-    """Quarter-period arc on [0, theta_end].
+    """Quarter-period arc on [0, theta_end], from the zero crossing to the crest.
 
-    ``dense`` is the stepper's interpolant; the reflection machinery and all
-    resampling draw from it, so the sampled states are a view, not the
-    ground truth.
+    ``dense`` maps x arrays to (f, f'); the reflection machinery and all
+    resampling draw from it.  ``solve_quarter`` fills it with the stepper's
+    interpolant and keeps a few sampled states; ``branch.profile_at`` fills
+    it with the closed-form Jacobi arc and keeps no samples.
     """
 
     lam: float
     alpha: float
     theta_end: float
-    samples: list[State]
+    samples: list[State] = field(default_factory=list)
     dense: object = field(repr=False, default=None, compare=False)
 
 

@@ -1,10 +1,16 @@
 """Correspondence between even steady profiles and odd pendulum swings.
 
-An even profile f, reparametrised by arc length s with inverse z = p^{-1},
-maps to theta(s) = arctan f'(z(s)), which solves the pendulum equation
+An even profile f, reparametrised by arc length s from its crest, maps to
+theta(s) = arctan f'(x(s)), which solves the pendulum equation
 theta'' + lam sin(theta) = 0 with |theta| < pi/2 and theta(0) = 0; the
-derivative satisfies theta'(s) = -lam f(z(s)).  The inverse map rebuilds
-the profile by integrating cos(theta) for the abscissa and reading f from
+derivative satisfies theta'(s) = -lam f(x(s)).  With u = sqrt(lam) s and
+m = (1 - b)/2, b = 1/sqrt(1 + alpha^2), the swing is the Jacobi arc
+
+    theta = -2 asin(sqrt(m) sn(u|m)),   theta' = -2 sqrt(lam m) cn(u|m),
+
+of amplitude arctan(alpha) (``elliptic.Arc``); ``to_pendulum`` samples it.
+The inverse map is generic: it rebuilds the profile from any sampled
+swing by integrating cos(theta) for the abscissa and reading f from
 -theta'/lam.  The swing period has the elliptic closed form
 
     L(lam) = (2/sqrt(lam)) int_{-pi/2}^{pi/2}
@@ -12,6 +18,8 @@ the profile by integrating cos(theta) for the abscissa and reading f from
 
 which is strictly decreasing in lam; since |arctan alpha| < pi/2 the
 modulus stays below sqrt(1/2) and the integrand is uniformly smooth.
+``pendulum_period`` evaluates it by Gauss quadrature, independently of the
+4 K(k^2)/sqrt(lam) that ``to_pendulum`` reports.
 """
 
 from __future__ import annotations
@@ -24,8 +32,9 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import brentq
 
 from . import branch as branch_mod
+from .elliptic import Arc
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
-from .ivp import SolutionProfile
+from .ivp import SolutionProfile, max_amplitude
 from .quadrature import cumulative_gauss, gauss_panels
 
 __all__ = [
@@ -41,9 +50,8 @@ __all__ = [
 class PendulumTrajectory:
     """One period of an odd pendulum swing, sampled in arc length.
 
-    ``theta_max`` is the swing amplitude sup |theta| evaluated at the
-    analytic extremum (the profile's zero crossing), not just the sampled
-    maximum.
+    ``theta_max`` is the swing amplitude sup |theta| = arctan(alpha),
+    reached at the profile's zero crossing, not just the sampled maximum.
     """
 
     lam: float
@@ -54,56 +62,39 @@ class PendulumTrajectory:
     theta_max: float
 
 
-def _invert_monotone(fn, dfn, targets, lo, hi, tol=1e-14):
-    """Solve fn(x) = target for increasing fn with fn' >= 1 (vectorised Newton)."""
-    span = hi - lo
-    x = np.clip(lo + (targets - targets[0]) * span / max(targets[-1] - targets[0], tol), lo, hi)
-    for _ in range(60):
-        step = (fn(x) - targets) / dfn(x)
-        x_new = np.clip(x - step, lo, hi)
-        if np.max(np.abs(x_new - x)) < tol * span:
-            return x_new
-        x = x_new
-    return x
+#: relative mismatch between a profile's crest and the arc of its (lam, alpha)
+CREST_REL_TOL = 1e-6
 
 
 def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTrajectory:
     """Map an even profile to its pendulum swing.
 
-    Computes the cumulative arc length p by per-interval Gauss quadrature
-    of sqrt(1 + f'^2), inverts it through a Hermite interpolant (p' is
-    known exactly at the knots), and samples theta = arctan f'(z(s)),
-    theta' = -lam f(z(s)) uniformly over one swing period L = p(T).
+    The swing is the closed-form Jacobi arc of (profile.lam, profile.alpha),
+    sampled uniformly in arc length over one period L = 4 K(m)/sqrt(lam),
+    with the sign of the profile's crest f(0).  Raises DomainError when the
+    crest height does not match the arc (the profile is not the steady
+    profile of its own lam and alpha).
     """
     if profile.parity != "even":
         raise ParityError(f"to_pendulum requires an even profile, got parity={profile.parity!r}")
-    if profile.evaluate is None:
-        raise DomainError("profile lacks a dense evaluator")
-    lam = profile.lam
-    T = profile.period
-    n_intervals = max(4096, 4 * (n_samples - 1))
-    edges = np.linspace(0.0, T, n_intervals + 1)
-
-    def speed(xs):
-        return np.sqrt(1.0 + profile.evaluate(xs)[1] ** 2)
-
-    p_edges = cumulative_gauss(speed, edges)
-    L = float(p_edges[-1])
-    p_spline = CubicHermiteSpline(edges, p_edges, speed(edges))
-    dp_spline = p_spline.derivative()
-
-    s = np.linspace(0.0, L, n_samples)
-    z = _invert_monotone(p_spline, dp_spline, s, 0.0, T)
-    z[0], z[-1] = 0.0, T
-    f, fp = profile.evaluate(z)
-    theta = np.arctan(fp)
-    theta_prime = -lam * f
-    # sup |theta| sits at the profile's zero crossing x = T/4, where the
-    # slope magnitude is maximal
-    slope_at_zero = profile.evaluate(np.array([0.25 * T]))[1][0]
-    theta_max = abs(math.atan(slope_at_zero))
+    arc = Arc(profile.lam, profile.alpha)
+    crest = float(profile.f[0])
+    height = max_amplitude(profile.lam, profile.alpha)
+    if abs(abs(crest) - height) > CREST_REL_TOL * max(height, 1.0):
+        raise DomainError(
+            f"crest f(0)={crest:.12g} does not match the arc height {height:.12g} "
+            f"of lambda={profile.lam:.12g}, alpha={profile.alpha:.6g}"
+        )
+    sign = -1.0 if crest < 0.0 else 1.0
+    s = np.linspace(0.0, arc.length, n_samples)
+    theta, theta_prime = arc.swing(arc.root_lam * s)
     return PendulumTrajectory(
-        lam=lam, s=s, theta=theta, theta_prime=theta_prime, period_L=L, theta_max=theta_max
+        lam=profile.lam,
+        s=s,
+        theta=sign * theta,
+        theta_prime=sign * theta_prime,
+        period_L=arc.length,
+        theta_max=math.atan(profile.alpha),
     )
 
 

@@ -186,9 +186,9 @@ def test_criterion_08_quadratic_coefficient():
 
 def test_criterion_09_mode_scaling():
     p5 = PhysicalParams(h=5.0)
-    # the 1e-6 defect bound needs the dense interpolant's curvature error
-    # below it, hence the tight integration tolerance and fine grid
-    base = muskat.profile_at(0.6, n_samples=513, ode_tol=1e-13)
+    # the fine grid keeps the finite-difference curvature error below the
+    # 1e-6 defect bound
+    base = muskat.profile_at(0.6, n_samples=513)
     scaled = branch_mod.scale_profile(base, 2)
     xs = np.linspace(0.0, scaled.period, 32769)
     f, fp = scaled.evaluate(xs)
@@ -210,7 +210,7 @@ def test_criterion_10_pendulum_correspondence():
     worst_rt = worst_res = worst_L = worst_sup = 0.0
     periods = []
     for lam in (0.5, 0.7, 0.9):
-        prof = muskat.profile_at(lam, n_samples=513, ode_tol=1e-12)
+        prof = muskat.profile_at(lam, n_samples=513)
         even = muskat.translate_even(prof, 1)
         traj = muskat.to_pendulum(even, n_samples=2048)
         back = muskat.from_pendulum(traj, n_samples=2048)
@@ -306,7 +306,7 @@ def test_criterion_11_coexistence_substance():
     for l in (first, first + 1):
         lam_base = muskat.lambda_of_gamma(P, gamma * l * l)
         prof = branch_mod.scale_profile(
-            muskat.profile_at(lam_base, n_samples=513, ode_tol=1e-13), l
+            muskat.profile_at(lam_base, n_samples=513), l
         )
         xs = np.linspace(0.0, prof.period, 32769)
         f, fp = prof.evaluate(xs)

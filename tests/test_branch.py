@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muskat
 from muskat import (
+    ConvergenceError,
     DomainError,
     OutOfRangeError,
     ParityError,
@@ -123,6 +126,18 @@ def test_profile_at_height_and_period():
     assert crest == pytest.approx(muskat.max_amplitude(0.9, prof.alpha), abs=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(log_gap=st.floats(-8.0, math.log10(0.7)))
+def test_profile_first_integral_and_period_property(log_gap):
+    # gaps log-uniform from 1e-8 above lambda_star up to the bulk
+    lam = min(muskat.constants().lambda_star + 10.0**log_gap, 1.0)
+    prof = muskat.profile_at(lam)
+    beta = muskat.beta_of_alpha(prof.alpha)
+    drift = np.abs(1.0 / np.sqrt(1.0 + prof.f_prime**2) - 0.5 * lam * prof.f**2 - beta)
+    assert np.max(drift) <= 1e-12
+    assert abs(prof.period - 2.0 * math.pi) <= 1e-12
+
+
 def test_profile_near_bifurcation_is_almost_sinusoidal():
     prof = muskat.profile_at(0.9)
     b1 = muskat.fourier_sine_coefficient(prof)
@@ -175,9 +190,9 @@ def test_trace_branch_mode_two_window():
 
 
 def test_scaled_profile_solves_rescaled_equation():
-    # tight integration tolerance: the 1e-6 defect bound must not be
-    # masked by the dense interpolant's curvature error
-    base = muskat.profile_at(0.6, n_samples=513, ode_tol=1e-13)
+    # the fine grid keeps the finite-difference curvature error below the
+    # 1e-6 defect bound
+    base = muskat.profile_at(0.6, n_samples=513)
     scaled = branch_mod.scale_profile(base, 2)
     assert scaled.lam == pytest.approx(4.0 * 0.6, rel=1e-15)
     assert scaled.period == pytest.approx(base.period / 2.0, rel=1e-15)
@@ -277,6 +292,42 @@ def test_coexistence_levels():
     assert muskat.gamma_bar(P_UNIT, 1) > gamma_star / 4.0  # the mode-1 exclusion
     with pytest.raises(DomainError):
         muskat.coexistence_levels(P_UNIT, 1)
+
+
+@pytest.mark.parametrize("h", [0.3, 0.5])
+def test_coexistence_levels_in_shallow_cells(h):
+    # a mode-k branch with k h < h_star ends where its fingers touch the
+    # walls, so its sup is the largest gamma of the traced branch
+    p = PhysicalParams(h=h)
+    l_max = 5
+    c = muskat.constants()
+    sups = []
+    for k in range(1, l_max + 2):
+        if k * h < c.h_star:
+            sups.append(muskat.trace_branch(p, l=k, n_points=10).column("gamma").max())
+        else:
+            sups.append(p.weight / c.lambda_star / k**2)
+    expected = []
+    for l in range(1, l_max + 1):
+        hi = min(sups[l - 1], sups[l])
+        if muskat.gamma_bar(p, l) < hi:
+            expected.append((l, hi))
+    levels = muskat.coexistence_levels(p, l_max)
+    assert [l for l, _ in levels] == [l for l, _ in expected]
+    for (l, (lo, hi)), (_, hi_traced) in zip(levels, expected):
+        assert lo == muskat.gamma_bar(p, l)
+        assert hi == pytest.approx(hi_traced, rel=1e-12)
+    # the levels an h-blind window would list but the walls empty
+    assert 2 not in [l for l, _ in levels]
+
+
+def test_lambda_floor_is_resolvable_and_bounded(monkeypatch):
+    floor = muskat.lambda_floor()
+    assert muskat.theta(floor, branch_mod.DEFAULT_ALPHA_MAX) < math.pi / 2
+    assert muskat.alpha_of_lambda(floor) <= branch_mod.DEFAULT_ALPHA_MAX
+    monkeypatch.setattr(branch_mod, "FLOOR_NUDGES", 0)
+    with pytest.raises(ConvergenceError):
+        branch_mod.lambda_floor.__wrapped__(branch_mod.DEFAULT_ALPHA_MAX)
 
 
 def test_branches_disjoint():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import muskat
-from muskat.cli import main
+from muskat.cli import _resolve_config, build_parser, main
 from muskat.export import read_table
 
 
@@ -233,3 +233,13 @@ def test_config_validation_names_fields(tmp_path, capsys):
         cfg.write_text(json.dumps(payload))
         assert run(["classify", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+
+
+def test_tol_sets_quadrature_and_root_tolerances(tmp_path, capsys):
+    cfg = _resolve_config(build_parser().parse_args(["classify", "--tol", "1e-11"]))
+    assert (cfg.quad_tol, cfg.root_tol) == (1e-11, 1e-11)
+    # profiles come from the closed-form arc: there is no ODE tolerance left
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ode_tol": 1e-10}))
+    assert run(["classify", "--config", str(cfg)]) == 2
+    assert "ode_tol" in capsys.readouterr().err

@@ -7,8 +7,9 @@ import pytest
 from scipy.special import ellipk
 
 import muskat
-from muskat import OutOfRangeError, ParityError, SingularityError
+from muskat import DomainError, OutOfRangeError, ParityError, SingularityError
 from muskat import pendulum as pendulum_mod
+from muskat.quadrature import cumulative_gauss
 
 
 def even_profile(lam, n_samples=513):
@@ -171,3 +172,52 @@ def test_lambda_of_period_inverts_the_formula():
     assert pendulum_mod.lambda_of_period(2.0 * math.pi) == 1.0
     with pytest.raises(OutOfRangeError):
         pendulum_mod.lambda_of_period(6.0)
+
+
+def _arclength(profile, n_intervals=4096):
+    """Independent route to the swing period: Gauss quadrature of sqrt(1 + f'^2) in x."""
+
+    def speed(x):
+        return np.sqrt(1.0 + profile.evaluate(x)[1] ** 2)
+
+    return cumulative_gauss(speed, np.linspace(0.0, profile.period, n_intervals + 1))[-1]
+
+
+@pytest.mark.parametrize("lam", [0.35, 0.5, 0.7, 0.9])
+def test_period_is_the_arc_length_of_the_profile(lam):
+    even = even_profile(lam)
+    traj = muskat.to_pendulum(even)
+    assert abs(_arclength(even) - traj.period_L) <= 1e-10
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_swing_near_blowup(gap):
+    # both failed before the swing came from the closed-form arc: the
+    # arc-length period was 3.3e-4 (gap 1e-3) and 0.11 (gap 1e-4) off, and
+    # the round trip was off by ~5 in f
+    lam = muskat.constants().lambda_star + gap
+    even = even_profile(lam)
+    traj = muskat.to_pendulum(even)
+    assert abs(traj.period_L - muskat.pendulum_period(lam)) <= 1e-6
+    back = muskat.from_pendulum(traj)
+    assert np.max(np.abs(back.f - even.evaluate(back.x)[0])) <= 1e-6
+    assert back.period == pytest.approx(even.period, abs=1e-8)
+
+
+def test_swing_follows_the_crest_sign():
+    even = even_profile(0.6)
+    up = muskat.to_pendulum(even)
+    down = muskat.to_pendulum(muskat.negate_profile(even))
+    assert np.array_equal(down.theta, -up.theta)
+    assert np.array_equal(down.theta_prime, -up.theta_prime)
+    assert down.theta_prime[0] > 0.0  # theta'(0) = -lam f(0) with a trough at x = 0
+
+
+def test_to_pendulum_refuses_a_foreign_profile():
+    even = even_profile(0.6)
+    wrong = muskat.SolutionProfile(
+        lam=even.lam, alpha=2.0 * even.alpha, period=even.period, parity="even",
+        x=even.x, f=even.f, f_prime=even.f_prime, evaluate=even.evaluate,
+    )
+    with pytest.raises(DomainError):
+        muskat.to_pendulum(wrong)
