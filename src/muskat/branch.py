@@ -18,13 +18,13 @@ from enum import Enum
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import elliptic, ivp
 from . import period as period_mod
 from .errors import ConvergenceError, DomainError, OutOfRangeError, ParityError, SaturationError
 from .ivp import SolutionProfile
 from .quadrature import gauss_panels
+from .roots import brentq
 from .special import constants
 
 __all__ = [

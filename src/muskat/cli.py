@@ -32,10 +32,6 @@ from .errors import (
 from .export import format_float, write_table
 from .special import constants
 
-# slope beyond which a branch point sits in the numerical saturation band;
-# outputs are still produced but a warning is emitted
-ALPHA_WARN = 1e4
-
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
@@ -223,11 +219,6 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     prof = branch_mod.profile_at(
         lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
     )
-    if prof.alpha > ALPHA_WARN:
-        _warn(
-            f"slope alpha={prof.alpha:.3e} is in the saturation band near the blow-up end; "
-            "profile export may be slow or degraded"
-        )
     prof = branch_mod.scale_profile(prof, l)
     if args.parity == "even":
         prof = branch_mod.translate_even(prof, l)
@@ -258,11 +249,6 @@ def cmd_pendulum(cfg: RunConfig, args) -> None:
     prof = branch_mod.profile_at(
         lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
     )
-    if prof.alpha > ALPHA_WARN:
-        _warn(
-            f"slope alpha={prof.alpha:.3e} is in the saturation band near the blow-up end; "
-            "swing export may be slow or degraded"
-        )
     even = branch_mod.translate_even(prof, 1)
     traj = pendulum_mod.to_pendulum(even, n_samples=cfg.n_samples)
     L_formula = pendulum_mod.pendulum_period(

@@ -22,16 +22,27 @@ b.  Z is summed from its nome series
     Z(u) = (2 pi / K) sum_n q^n / (1 - q^(2n)) sin(n pi u / K),
     q = exp(-pi K(1 - m) / K(m)) <= exp(-pi),
 
-so twelve terms reach 1e-17.  scipy's incomplete ``ellipeinc`` is not
-used: it returns wrong values at isolated arguments.
+so twelve terms reach 1e-17.
+
+The kernel is numpy and the math module only.  ``ellipk``, ``ellipe`` and
+``ellipkm1`` come from the arithmetic-geometric mean of 1 and b0 (DLMF
+§19.8(i)): K = pi / (2 AGM), and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).
+``ellipj`` runs the same AGM and then the descending Landen recurrence
+phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
+down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
+cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
+where the textbook cn / cos(phi_1 - phi_0) does not.  The AGM takes
+c_(n+1) = c_n^2 / (4 a_(n+1)), which equals (a_n - b_n)/2 without its
+cancellation, so c falls monotonically to zero and the loop ends once it is
+below the rounding of a (five steps for m <= 1/2).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
-from scipy.special import ellipe, ellipj, ellipk, ellipkm1
 
 from .errors import ConvergenceError, DomainError
 from .period import beta_of_alpha, one_minus_beta
@@ -41,6 +52,55 @@ __all__ = ["Arc"]
 ZETA_TERMS = 12
 TABLE_NODES = 129
 MAX_NEWTON = 64
+
+_EPS = np.finfo(float).eps
+
+
+def _agm(b: float, c: float) -> tuple[list[float], list[float]]:
+    """The AGM rows (a_n, c_n) from a_0 = 1, b_0 = b, c_0 = c = sqrt(1 - b^2).
+
+    Needs b > 0, so that c_n / a_n falls to zero (quadratically once b_n
+    is within a factor of a_n).
+    """
+    a_s, c_s = [1.0], [c]
+    while c_s[-1] > _EPS * a_s[-1]:
+        a = a_s[-1]
+        a_s.append(0.5 * (a + b))
+        b = math.sqrt(a * b)
+        c_s.append(c_s[-1] ** 2 / (4.0 * a_s[-1]))
+    return a_s, c_s
+
+
+def ellipk(m: float) -> float:
+    """Complete elliptic integral of the first kind K(m), 0 <= m < 1."""
+    a_s, _ = _agm(math.sqrt(1.0 - m), math.sqrt(m))
+    return math.pi / (2.0 * a_s[-1])
+
+
+def ellipe(m: float) -> float:
+    """Complete elliptic integral of the second kind E(m), 0 <= m < 1."""
+    a_s, c_s = _agm(math.sqrt(1.0 - m), math.sqrt(m))
+    tail = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(c_s))
+    return math.pi / (2.0 * a_s[-1]) * (1.0 - tail)
+
+
+def ellipkm1(m: float) -> float:
+    """K(1 - m), 0 <= m < 1; infinite at m = 0."""
+    if m == 0.0:
+        return math.inf
+    a_s, _ = _agm(math.sqrt(m), math.sqrt(1.0 - m))
+    return math.pi / (2.0 * a_s[-1])
+
+
+def ellipj(u, m: float):
+    """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
+    a_s, c_s = _agm(math.sqrt(1.0 - m), math.sqrt(m))
+    n = len(a_s) - 1
+    phi = (2.0**n * a_s[-1]) * np.asarray(u, dtype=float)
+    for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
+        phi = 0.5 * (phi + np.arcsin((c / a) * np.sin(phi)))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)
 
 
 class Arc:
@@ -60,19 +120,22 @@ class Arc:
         self.alpha = alpha
         self.b = beta_of_alpha(alpha)
         self.m = 0.5 * one_minus_beta(alpha)
-        self.K = float(ellipk(self.m))
-        self.E = float(ellipe(self.m))
+        self.K = ellipk(self.m)
+        self.E = ellipe(self.m)
         self.root_lam = math.sqrt(lam)
         self.quarter = (2.0 * self.E - self.K) / self.root_lam
         self.length = 4.0 * self.K / self.root_lam
-        q = math.exp(-math.pi * float(ellipkm1(self.m)) / self.K)
+        q = math.exp(-math.pi * ellipkm1(self.m) / self.K)
         n = np.arange(1, ZETA_TERMS + 1)
         n = n[q**n > 1e-18]
         self._wave = n * (math.pi / self.K)
         self._zeta = (2.0 * math.pi / self.K) * q**n / (1.0 - q ** (2 * n))
-        self._u_nodes = np.linspace(0.0, self.K, TABLE_NODES)
-        self._x_nodes = self.x(self._u_nodes)
-        self._dxdu_nodes = self._dxdu(ellipj(self._u_nodes, self.m)[1])
+
+    @cached_property
+    def _table(self):
+        """(u, x(u), dx/du) on TABLE_NODES uniform nodes of [0, K]: the inversion's start."""
+        u = np.linspace(0.0, self.K, TABLE_NODES)
+        return u, self.x(u), self._dxdu(ellipj(u, self.m)[1])
 
     def x(self, u):
         """Abscissa of the point at u, measured from the crest."""
@@ -89,12 +152,11 @@ class Arc:
 
     def profile(self, u):
         """(f, f') of the even profile, crest up, at u."""
-        sn, cn, dn, _ = ellipj(u, self.m)
-        return self._profile(sn, cn, dn)
+        return self._profile(*ellipj(u, self.m))
 
     def swing(self, u):
         """(theta, theta') of the pendulum swing at u, starting from the crest."""
-        sn, cn, _, _ = ellipj(u, self.m)
+        sn, cn, _ = ellipj(u, self.m)
         return -2.0 * np.arcsin(math.sqrt(self.m) * sn), -2.0 * math.sqrt(self.lam * self.m) * cn
 
     def rising_quarter(self, x):
@@ -119,12 +181,13 @@ class Arc:
         x = np.clip(np.asarray(x, dtype=float), 0.0, self.quarter)
         shape = x.shape
         x = x.ravel()
-        j = np.clip(np.searchsorted(self._x_nodes, x), 1, TABLE_NODES - 1)
-        lo, hi = self._u_nodes[j - 1], self._u_nodes[j]
-        x0, x1 = self._x_nodes[j - 1], self._x_nodes[j]
+        u_nodes, x_nodes, dxdu_nodes = self._table
+        j = np.clip(np.searchsorted(x_nodes, x), 1, TABLE_NODES - 1)
+        lo, hi = u_nodes[j - 1], u_nodes[j]
+        x0, x1 = x_nodes[j - 1], x_nodes[j]
         h = x1 - x0
         t = (x - x0) / h
-        m0, m1 = h / self._dxdu_nodes[j - 1], h / self._dxdu_nodes[j]
+        m0, m1 = h / dxdu_nodes[j - 1], h / dxdu_nodes[j]
         u = (
             (1.0 + 2.0 * t) * (1.0 - t) ** 2 * lo
             + t * t * (3.0 - 2.0 * t) * hi
@@ -138,7 +201,7 @@ class Arc:
         for _ in range(MAX_NEWTON):
             ut = u[todo]
             resid = self.x(ut) - x[todo]
-            sn[todo], cn[todo], dn[todo], _ = ellipj(ut, self.m)
+            sn[todo], cn[todo], dn[todo] = ellipj(ut, self.m)
             step = resid / self._dxdu(cn[todo])
             lo_t = np.where(resid < 0.0, ut, lo[todo])
             hi_t = np.where(resid > 0.0, ut, hi[todo])

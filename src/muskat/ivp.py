@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import period as period_mod
 from .errors import DomainError, EventNotFoundError, IntegrationError
@@ -51,6 +50,17 @@ class State:
     x: float
     f: float
     g: float
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported on first use.
+
+    Only this ODE oracle integrates, so ``import muskat`` does not load
+    scipy; the test suite and the oracle routes need it installed.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _rhs(lam: float):
@@ -225,10 +235,12 @@ def _odd_extension_evaluator(dense, theta_end: float) -> Evaluator:
         q = np.clip(np.floor_divide(y, theta_end).astype(int), 0, 3)
         r = y - q * theta_end
         u = np.where(q % 2 == 0, r, theta_end - r)
-        fg = dense(u)
+        # the quadrants fold a symmetric grid onto repeated abscissae
+        u_distinct, inverse = np.unique(u, return_inverse=True)
+        f, g = dense(u_distinct)
         sign_f = np.where(q <= 1, 1.0, -1.0)
         sign_g = np.where((q == 0) | (q == 3), 1.0, -1.0)
-        return sign_f * fg[0], sign_g * fg[1]
+        return sign_f * f[inverse], sign_g * g[inverse]
 
     return ev
 

@@ -28,14 +28,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from . import branch as branch_mod
 from .elliptic import Arc
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
 from .ivp import SolutionProfile, max_amplitude
 from .quadrature import cumulative_gauss, gauss_panels
+from .roots import brentq
 
 __all__ = [
     "PendulumTrajectory",
@@ -98,6 +97,31 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
     )
 
 
+def _hermite(x, y, dydx):
+    """Piecewise cubic Hermite interpolant through (x, y) with slopes dydx.
+
+    Returns a function of t giving (value, slope); outside [x[0], x[-1]]
+    the end cubics extend.  Coefficients and summation order (ascending
+    powers of t - x[j]) are those of scipy.interpolate.CubicHermiteSpline.
+    """
+    x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
+    c3 = t3 / h
+    c2 = (slope - dydx[:-1]) / h - t3
+
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, h.size - 1)
+        d = t - x[j]
+        d2 = d * d
+        value = y[j] + dydx[j] * d + c2[j] * d2 + c3[j] * (d2 * d)
+        return value, dydx[j] + (2.0 * c2[j]) * d + (3.0 * c3[j]) * d2
+
+    return ev
+
+
 def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionProfile:
     """Rebuild the even profile from a sampled pendulum swing.
 
@@ -113,21 +137,19 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
         raise SingularityError(
             f"pendulum angle within {margin:.3e} of pi/2; tangent map refused"
         )
-    th_spline = CubicHermiteSpline(traj.s, traj.theta, traj.theta_prime)
+    th_spline = _hermite(traj.s, traj.theta, traj.theta_prime)
 
     def cos_theta(ss):
-        return np.cos(th_spline(ss))
+        return np.cos(th_spline(ss)[0])
 
     z_knots = cumulative_gauss(cos_theta, traj.s)
     T = float(z_knots[-1])
     f_knots = -np.asarray(traj.theta_prime, dtype=float) / lam
     fp_knots = np.tan(np.asarray(traj.theta, dtype=float))
-    prof_spline = CubicHermiteSpline(z_knots, f_knots, fp_knots)
-    dprof_spline = prof_spline.derivative()
+    prof_spline = _hermite(z_knots, f_knots, fp_knots)
 
     def ev(x):
-        xr = np.mod(np.atleast_1d(np.asarray(x, dtype=float)), T)
-        return prof_spline(xr), dprof_spline(xr)
+        return prof_spline(np.mod(np.atleast_1d(np.asarray(x, dtype=float)), T))
 
     xs = np.linspace(0.0, T, n_samples)
     f, fp = ev(xs)

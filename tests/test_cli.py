@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,11 +142,16 @@ def test_pendulum_dual_period(tmp_path):
     assert np.max(np.abs(cols["theta"])) < math.pi / 2
 
 
-def test_pendulum_saturation_warning(tmp_path, capsys):
+def test_pendulum_near_blowup_is_clean(tmp_path, capsys):
+    # at gap 1e-6 (alpha ~ 6e5) the closed-form swing is as good as in the
+    # bulk: no warning, and the two swing periods agree
     lam = muskat.constants().lambda_star + 1e-6
-    out = tmp_path / "sat.csv"
+    out = tmp_path / "near.csv"
     assert run(["pendulum", "--lambda", f"{lam:.15f}", "--n", "64", "--out", str(out)]) == 0
-    assert "saturation band" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
+    meta, _ = read_table(str(out))
+    assert meta["alpha"] > 1e5
+    assert meta["L_abs_diff"] <= 1e-6
 
 
 def test_coexist_table(tmp_path):
@@ -243,3 +251,33 @@ def test_tol_sets_quadrature_and_root_tolerances(tmp_path, capsys):
     cfg.write_text(json.dumps({"ode_tol": 1e-10}))
     assert run(["classify", "--config", str(cfg)]) == 2
     assert "ode_tol" in capsys.readouterr().err
+
+
+def test_no_scipy_on_the_import_path(tmp_path):
+    # scipy serves only the ODE oracle and the tests; a child that imports
+    # the package and runs every subcommand must never load it
+    commands = [
+        ["constants"],
+        ["classify", "--h", "1"],
+        ["branch", "--n", "5", "--h", "1"],
+        ["profile", "--lambda", "0.5", "--parity", "even", "--n", "65"],
+        ["pendulum", "--lambda", "0.5", "--n", "65"],
+        ["coexist", "--l-max", "3"],
+        ["expansion-check", "--eps", "0.08"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import muskat, muskat.cli, muskat.export\n"
+        "codes = [muskat.cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.out'])\n"
+        "         for i, argv in enumerate(json.loads(sys.argv[1]))]\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))\n"
+    )
+    path = [os.path.dirname(muskat.__path__[0]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout)
+    assert codes == [0] * len(commands), proc.stderr
+    assert scipy_modules == []
+    assert len(list(tmp_path.iterdir())) == len(commands)

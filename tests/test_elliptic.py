@@ -12,6 +12,7 @@ from muskat import elliptic
 from muskat.elliptic import Arc
 
 ORACLE_DPS = 32
+EPS = np.finfo(float).eps
 
 
 def _agm_rows(m):
@@ -38,6 +39,59 @@ def _jacobi_oracle(u, m, rows):
     return sn, cn, mpmath.sqrt(1 - m * sn * sn), u * e_over_k + zeta
 
 
+@pytest.mark.parametrize(
+    "ms, dps",
+    [
+        (np.linspace(0.0, 0.5, 1001).tolist() + [math.nextafter(0.5, 1.0)], ORACLE_DPS),
+        ([1e-300, 1e-100, 1e-20, 1e-9], 340),  # 1 - m exact in the oracle
+    ],
+)
+def test_complete_integrals_against_mpmath(ms, dps):
+    with mpmath.workdps(dps):
+        for m in ms:
+            M = mpmath.mpf(m)
+            assert abs(elliptic.ellipk(m) / mpmath.ellipk(M) - 1) <= 3 * EPS, m
+            assert abs(elliptic.ellipe(m) / mpmath.ellipe(M) - 1) <= 3 * EPS, m
+            if m > 0.0:
+                assert abs(elliptic.ellipkm1(m) / mpmath.ellipk(1 - M) - 1) <= 3 * EPS, m
+
+
+def test_complete_integrals_at_the_ends():
+    assert elliptic.ellipk(0.0) == elliptic.ellipe(0.0) == math.pi / 2
+    assert elliptic.ellipkm1(0.0) == math.inf
+
+
+@pytest.mark.parametrize("m", [1e-3, 0.25, 0.5 - 1e-9, 0.5])
+def test_jacobi_functions_against_oracle_on_graded_grid(m):
+    # 4001 points on [0, K], graded cubically toward u = K, where cn -> 0
+    # and the textbook dn = cn / cos(phi_1 - phi_0) loses every digit
+    K = elliptic.ellipk(m)
+    t = np.linspace(0.0, 1.0, 4001)
+    u = np.append(K * (1.0 - (1.0 - t) ** 3), [math.nextafter(K, 0.0), 2.0 * K, 3.0 * K])
+    sn, cn, dn = elliptic.ellipj(u, m)
+    with mpmath.workdps(ORACLE_DPS):
+        M = mpmath.mpf(m)
+        rows = _agm_rows(M)
+        for i, ui in enumerate(u.tolist()):
+            ref = _jacobi_oracle(mpmath.mpf(ui), M, rows)[:3]
+            for got, want in zip((sn[i], cn[i], dn[i]), ref):
+                assert abs(got - float(want)) <= 1e-15, (ui, got, want)
+
+
+@pytest.mark.parametrize("m", [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)])
+def test_kernel_terminates_at_the_blowup_parameter(m):
+    # m = 1/2 is the slope blow-up; an AGM that waits for a - b to reach
+    # zero never stops there, as a and b can settle one ulp apart
+    a_s, c_s = elliptic._agm(math.sqrt(1.0 - m), math.sqrt(m))
+    assert len(a_s) <= 6
+    assert 1.0 / elliptic.ellipk(m) ** 2 == pytest.approx(muskat.constants().lambda_star, rel=1e-15)
+    sn, cn, dn = elliptic.ellipj(np.array([0.0, elliptic.ellipk(m)]), m)
+    assert sn[0] == 0.0 and cn[0] == 1.0 and dn[0] == 1.0
+    assert sn[1] == pytest.approx(1.0, abs=1e-15)
+    assert abs(cn[1]) <= 1e-15
+    assert dn[1] == pytest.approx(math.sqrt(1.0 - m), abs=1e-15)
+
+
 def _arc_with_parameter(m_target):
     """Arc at lam = 1 whose slope alpha gives parameter m close to m_target."""
     b = 1.0 - 2.0 * m_target
@@ -46,7 +100,8 @@ def _arc_with_parameter(m_target):
 
 def test_oracle_matches_mpmath_jacobi_functions():
     with mpmath.workdps(ORACLE_DPS):
-        for m in (mpmath.mpf("1e-3"), mpmath.mpf("0.25"), mpmath.mpf("0.5") - mpmath.mpf("1e-9")):
+        half = mpmath.mpf("0.5")
+        for m in (mpmath.mpf("1e-3"), mpmath.mpf("0.25"), half - mpmath.mpf("1e-9"), half):
             rows = _agm_rows(m)
             K = mpmath.ellipk(m)
             for frac in ("0", "0.13", "0.5", "0.97", "1"):

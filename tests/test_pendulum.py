@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipk
 
 import muskat
@@ -90,6 +91,18 @@ def test_arclength_and_abscissa_are_mutual_inverses():
     # p(T) = L and z(L) = T within tight tolerance
     assert traj.period_L > even.period  # arc length exceeds the abscissa span
     assert back.period == pytest.approx(even.period, abs=1e-8)
+
+
+def test_hermite_matches_scipy_cubic_hermite_spline():
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.05, 1.0, 64))
+    y, dydx = rng.normal(size=64), rng.normal(size=64)
+    t = np.concatenate([rng.uniform(x[0] - 0.5, x[-1] + 0.5, 4000), x])
+    value, slope = pendulum_mod._hermite(x, y, dydx)(t)
+    spline = CubicHermiteSpline(x, y, dydx)
+    assert np.max(np.abs(value - spline(t))) <= 1e-14
+    assert np.max(np.abs(slope - spline.derivative()(t))) <= 1e-14
+    assert np.array_equal(pendulum_mod._hermite(x, y, dydx)(x[:-1])[0], y[:-1])
 
 
 def test_from_pendulum_zero_swing():
