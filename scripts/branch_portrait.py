@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Trace the first few bifurcation branches and write one CSV per mode.
+"""Trace the first few bifurcation branches and write one table per mode.
 
-Produces the data behind a bifurcation portrait: for each mode l the
-branch points (gamma, amplitude) and the window endpoints, plus a printed
-summary of where consecutive branches share a gamma window.
+Produces the data behind a bifurcation portrait: ``muskat branch`` for
+each mode l (branch_l<l>.csv: gamma, amplitude, slope and the window
+endpoints) and ``muskat coexist`` for the gamma windows that consecutive
+branches share (coexist.csv).
 """
 
 import argparse
+import sys
 from pathlib import Path
 
-import muskat
-from muskat.export import write_table
+from muskat import cli
 
 
 def main():
@@ -21,40 +22,19 @@ def main():
     ap.add_argument("--outdir", default="out_branches", help="output directory")
     args = ap.parse_args()
 
-    p = muskat.PhysicalParams(h=args.h)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-
-    c = muskat.constants()
-    print(f"lambda_star = {c.lambda_star:.12f}, h_star = {c.h_star:.12f}, h = {args.h}")
-    for l in range(1, args.modes + 1):
-        br = muskat.trace_branch(p, l=l, n_points=args.n)
-        path = outdir / f"branch_l{l}.csv"
-        write_table(
-            str(path),
-            {
-                "l": l,
-                "regime": br.regime.kind.value,
-                "lambda_h_base": br.regime.lambda_h,
-                "gamma_h_base": br.regime.gamma_h,
-            },
-            {
-                "lambda": br.column("lam"),
-                "gamma": br.column("gamma"),
-                "alpha": br.column("alpha"),
-                "amplitude": br.column("amplitude"),
-            },
-        )
-        gammas = br.column("gamma")
-        print(
-            f"mode {l}: {br.regime.kind.value:17s} gamma in ({gammas.min():.4f}, {gammas.max():.4f})"
-            f"  -> {path}"
-        )
-
-    print("\nshared gamma windows of consecutive branches:")
-    for l, (lo, hi) in muskat.coexistence_levels(p, args.modes + 1):
-        print(f"  modes {l} and {l+1}: gamma in ({lo:.4f}, {hi:.4f})")
+    h = ["--h", repr(args.h)]
+    runs = [(["branch", "--l", str(l), "--n", str(args.n)], outdir / f"branch_l{l}.csv")
+            for l in range(1, args.modes + 1)]
+    runs.append((["coexist", "--l-max", str(max(2, args.modes))], outdir / "coexist.csv"))
+    for argv, path in runs:
+        code = cli.main([*argv, *h, "--out", str(path)])
+        if code:
+            return code
+        print(f"{argv[0]} -> {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

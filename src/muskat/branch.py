@@ -52,13 +52,14 @@ __all__ = [
     "translate_even",
 ]
 
-#: slope above which the branch point sits numerically at its blow-up limit
-DEFAULT_ALPHA_MAX = 1e8
+#: slope cap: beyond it (lam within ~6.4e-9 of lambda_star) the branch is
+#: out of numerical reach and the slope solves raise SaturationError
+ALPHA_MAX = 1e8
 
 #: relative half-width of the h == h_star comparison band
 H_STAR_REL_TOL = 1e-9
 
-#: bound on the 1e-12 steps lambda_floor takes off the bracketed root
+#: bound on the ulp steps lambda_floor takes onto the resolvable side
 FLOOR_NUDGES = 1000
 
 
@@ -169,9 +170,31 @@ def gamma_bar(p: PhysicalParams, l: int) -> float:
     return p.weight / (l * l)
 
 
-def alpha_of_lambda(
-    lam: float, tol: float = 1e-12, alpha_max: float = DEFAULT_ALPHA_MAX
-) -> float:
+def _lambda_of_alpha(a: float) -> float:
+    """Branch parameter of slope a: the lam with theta(lam, a) = pi/2.
+
+    theta(lam, a) = theta(1, a)/sqrt(lam), so lam = (2 theta(1, a)/pi)^2,
+    clipped to 1: rounding puts theta(1, a) an ulp above pi/2 for tiny a.
+    """
+    return min(float(2.0 * period_mod.theta(1.0, a) / math.pi) ** 2, 1.0)
+
+
+def _slope_root(g, tol: float) -> float:
+    """The slope a > 0 where g, positive at 0 and decreasing, changes sign.
+
+    Doubles the bracket [0, hi] from hi = 1 up to ALPHA_MAX, then runs
+    Brent's method on it.  Raises SaturationError when g is still
+    nonnegative at ALPHA_MAX.
+    """
+    hi = 1.0
+    while g(hi) >= 0.0:
+        if hi >= ALPHA_MAX:
+            raise SaturationError(f"slope bracket exceeded ALPHA_MAX={ALPHA_MAX:g}")
+        hi = min(2.0 * hi, ALPHA_MAX)
+    return float(brentq(g, 0.0, hi, xtol=tol))
+
+
+def alpha_of_lambda(lam: float, tol: float = 1e-12) -> float:
     """The unique slope alpha >= 0 with theta(lam, alpha) = pi/2.
 
     Defined exactly on (lambda_star, 1]; alpha(1) = 0 and alpha diverges as
@@ -182,7 +205,7 @@ def alpha_of_lambda(
     OutOfRangeError
         If lam is not in (lambda_star, 1].
     SaturationError
-        If the bracket exceeds ``alpha_max`` (lam too close to lambda_star).
+        If alpha exceeds ALPHA_MAX (lam below ``lambda_floor()``).
     """
     c = constants()
     if not c.lambda_star < lam <= 1.0:
@@ -190,55 +213,46 @@ def alpha_of_lambda(
     target = 0.5 * math.pi
     if lam == 1.0 or period_mod.theta(lam, 0.0) - target <= 0.0:
         return 0.0
-    hi = 1.0
-    while period_mod.theta(lam, hi) >= target:
-        if hi >= alpha_max:
-            raise SaturationError(
-                f"slope bracket exceeded alpha_max={alpha_max:g} at lambda={lam:.12g} "
-                f"(too close to lambda_star={c.lambda_star:.12g})"
-            )
-        hi = min(2.0 * hi, alpha_max)
-    return float(brentq(lambda a: period_mod.theta(lam, a) - target, 0.0, hi, xtol=tol))
+    try:
+        return _slope_root(lambda a: period_mod.theta(lam, a) - target, tol)
+    except SaturationError as exc:
+        raise SaturationError(
+            f"{exc} at lambda={lam:.12g} (too close to lambda_star={c.lambda_star:.12g})"
+        ) from None
 
 
-def branch_amplitude(
-    lam: float, tol: float = 1e-12, alpha_max: float = DEFAULT_ALPHA_MAX
-) -> float:
+def branch_amplitude(lam: float, tol: float = 1e-12) -> float:
     """Peak height of the branch profile at lam: max_amplitude(lam, alpha(lam))."""
-    return ivp.max_amplitude(lam, alpha_of_lambda(lam, tol, alpha_max))
+    return ivp.max_amplitude(lam, alpha_of_lambda(lam, tol))
 
 
-@lru_cache(maxsize=16)
-def lambda_floor(alpha_max: float = DEFAULT_ALPHA_MAX) -> float:
-    """Smallest branch parameter resolvable under the slope cap.
+@lru_cache(maxsize=1)
+def lambda_floor() -> float:
+    """Smallest branch parameter whose slope does not exceed ALPHA_MAX.
 
-    Solves theta(lam, alpha_max) = pi/2; below this lam (but above
-    lambda_star) the branch slope exceeds alpha_max.  Raises
-    ConvergenceError if FLOOR_NUDGES steps of 1e-12 do not reach the
-    resolvable side of the root.
+    Starts from the explicit lambda_of_alpha(ALPHA_MAX) and steps up by
+    ulps until theta(lam, ALPHA_MAX) < pi/2, so alpha_of_lambda(floor)
+    cannot saturate (one step or none).  Raises ConvergenceError if
+    FLOOR_NUDGES steps do not get there.
     """
-    c = constants()
-    f = lambda lam: period_mod.theta(lam, alpha_max) - 0.5 * math.pi
-    root = float(brentq(f, c.lambda_star, 1.0, xtol=1e-15))
-    # land on the resolvable side so alpha_of_lambda(root) cannot saturate;
-    # brentq leaves the root within 1e-15, so one nudge is the usual count
+    lam = _lambda_of_alpha(ALPHA_MAX)
     for _ in range(FLOOR_NUDGES):
-        if f(root) < 0.0:
-            return root
-        root += 1e-12
+        if period_mod.theta(lam, ALPHA_MAX) < 0.5 * math.pi:
+            return lam
+        lam = math.nextafter(lam, 1.0)
     raise ConvergenceError(
-        f"lambda_floor for alpha_max={alpha_max:g} still saturates after "
-        f"{FLOOR_NUDGES} nudges of 1e-12 (at lambda={root:.15g})"
+        f"lambda_floor still saturates after {FLOOR_NUDGES} ulp steps (at lambda={lam:.17g})"
     )
 
 
-def lambda_h(
-    p: PhysicalParams, tol: float = 1e-12, alpha_max: float = DEFAULT_ALPHA_MAX
-) -> Regime:
+def lambda_h(p: PhysicalParams, tol: float = 1e-12) -> Regime:
     """Classify the branch endpoint for cell half-height p.h.
 
-    h < h_star: solves branch_amplitude(lam) = h for the unique
-    lambda_h in (lambda_star, 1) (the fingers touch the walls there).
+    h < h_star: the fingers touch the walls at the unique lambda_h in
+    (lambda_star, 1) with branch amplitude h: one solve in the slope a of
+    max_amplitude(lambda_of_alpha(a), a) = h, to ``tol`` relative to h.
+    lambda_h never falls below lambda_floor(), where it stays when h is
+    within ~1e-8 of h_star and the slope would exceed ALPHA_MAX.
     h = h_star (within a relative band of 1e-9): lambda_h = lambda_star,
     both height and slope blow up.  h > h_star: lambda_h = lambda_star and
     only the slope blows up while the height stays below h.
@@ -250,24 +264,26 @@ def lambda_h(
         kind, lam_h = RegimeKind.SLOPE_BLOWUP, c.lambda_star
     else:
         kind = RegimeKind.TOUCHES_BOUNDARY
-        lo = lambda_floor(alpha_max)
-        if branch_amplitude(lo, tol, alpha_max) <= p.h:
-            # h within ~1e-8 of h_star: the exact endpoint is beyond the
-            # slope cap; report the closest resolvable parameter
-            lam_h = lo
-        else:
-            lam_h = float(
-                brentq(lambda lam: branch_amplitude(lam, tol, alpha_max) - p.h, lo, 1.0, xtol=tol)
-            )
+        # a ~ h sqrt(lam) for small fingers, hence the tolerance tol * h
+        excess = lambda a: p.h - ivp.max_amplitude(_lambda_of_alpha(a), a)
+        try:
+            a = _slope_root(excess, tol * p.h)
+        except SaturationError:  # the endpoint is beyond the slope cap
+            a = ALPHA_MAX
+        lam_h = max(_lambda_of_alpha(a), lambda_floor())
     return Regime(kind=kind, lambda_h=lam_h, gamma_h=gamma_of_lambda(p, lam_h))
 
 
-def profile_at(
-    lam: float,
-    n_samples: int = 513,
-    root_tol: float = 1e-12,
-    alpha_max: float = DEFAULT_ALPHA_MAX,
-) -> SolutionProfile:
+def _profile(lam: float, a: float, n_samples: int) -> SolutionProfile:
+    """The odd 2*pi profile of the branch point (lam, a), a = alpha(lam)."""
+    if a == 0.0:
+        return ivp.zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
+    arc = elliptic.Arc(lam, a)
+    q = ivp.QuarterProfile(lam=lam, alpha=a, theta_end=arc.quarter, dense=arc.rising_quarter)
+    return ivp.extend_odd_periodic(q, n_samples=n_samples)
+
+
+def profile_at(lam: float, n_samples: int = 513, root_tol: float = 1e-12) -> SolutionProfile:
     """The odd minimal-period-2*pi profile at lam in (lambda_star, 1].
 
     Solves alpha(lam), takes the quarter arc in closed form (the Jacobi
@@ -275,12 +291,7 @@ def profile_at(
     4 (2E - K)/sqrt(lam) equals 2*pi to root-solve accuracy.  Propagates
     OutOfRangeError / SaturationError from the slope solve.
     """
-    a = alpha_of_lambda(lam, root_tol, alpha_max)
-    if a == 0.0:
-        return ivp.zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
-    arc = elliptic.Arc(lam, a)
-    q = ivp.QuarterProfile(lam=lam, alpha=a, theta_end=arc.quarter, dense=arc.rising_quarter)
-    return ivp.extend_odd_periodic(q, n_samples=n_samples)
+    return _profile(lam, alpha_of_lambda(lam, root_tol), n_samples)
 
 
 def _require_dense(s: SolutionProfile):
@@ -382,7 +393,6 @@ def trace_branch(
     l: int = 1,
     n_points: int = 50,
     tol: float = 1e-12,
-    alpha_max: float = DEFAULT_ALPHA_MAX,
 ) -> Branch:
     """Trace the mode-l branch over its feasible window.
 
@@ -398,7 +408,7 @@ def trace_branch(
         raise DomainError(f"mode number must be >= 1, got {l}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    regime = lambda_h(replace(p, h=l * p.h), tol, alpha_max)
+    regime = lambda_h(replace(p, h=l * p.h), tol)
     touches = regime.kind is RegimeKind.TOUCHES_BOUNDARY
     grid = _grid(regime.lambda_h, n_points, include_start=touches)
 
@@ -406,7 +416,7 @@ def trace_branch(
     for lam in grid:
         gamma_scaled = gamma_of_lambda(p, lam) / (l * l)
         try:
-            a = alpha_of_lambda(float(lam), tol, alpha_max)
+            a = alpha_of_lambda(float(lam), tol)
             amp = ivp.max_amplitude(float(lam), a)
             pt = BranchPoint(
                 lam=float(lam) * l * l,
@@ -476,22 +486,16 @@ class ExpansionFit:
 
 
 def _lambda_for_coefficient(eps_base: float, root_tol: float) -> float:
-    """Base lam whose odd 2*pi profile has first sine coefficient eps_base."""
+    """Base lam whose odd 2*pi profile has first sine coefficient eps_base.
 
-    def coefficient(lam: float) -> float:
-        prof = profile_at(lam, n_samples=65, root_tol=root_tol)
-        return fourier_sine_coefficient(prof, 1)
+    One solve in the slope a on the profile of (lambda_of_alpha(a), a).
+    """
 
-    f = lambda lam: coefficient(lam) - eps_base
-    c = constants()
-    # near the bifurcation point gamma = 1/lam grows like 1 + (3/8) eps^2
-    guess_gap = 0.375 * eps_base * eps_base
-    lo = 1.0 - 2.0 * guess_gap - 1e-6
-    while f(lo) < 0.0:
-        lo = 1.0 - 2.0 * (1.0 - lo)
-        if lo <= c.lambda_star + 1e-6:
-            raise SaturationError(f"no branch point with sine coefficient {eps_base}")
-    return float(brentq(f, lo, 1.0, xtol=root_tol))
+    def excess(a: float) -> float:
+        prof = _profile(_lambda_of_alpha(a), a, n_samples=65)
+        return eps_base - fourier_sine_coefficient(prof, 1)
+
+    return _lambda_of_alpha(_slope_root(excess, root_tol))
 
 
 def expansion_check(

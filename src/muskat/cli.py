@@ -133,7 +133,7 @@ def _emit_text(cfg: RunConfig, lines: list[str]) -> None:
 
 def _regime_lines(cfg: RunConfig) -> list[str]:
     p = cfg.physical()
-    reg = branch_mod.lambda_h(p, cfg.root_tol, cfg.alpha_max)
+    reg = branch_mod.lambda_h(p, cfg.root_tol)
     fmt = lambda v: format_float(v, cfg.precision)
     return [
         f"cell half-height h = {p.h:g}: regime ({reg.kind.roman}) {reg.kind.value}",
@@ -164,7 +164,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 
 def cmd_branch(cfg: RunConfig, args) -> None:
     p = cfg.physical()
-    br = branch_mod.trace_branch(p, l=args.l, n_points=cfg.n_points, tol=cfg.root_tol, alpha_max=cfg.alpha_max)
+    br = branch_mod.trace_branch(p, l=args.l, n_points=cfg.n_points, tol=cfg.root_tol)
     n_trunc = sum(pt.truncated for pt in br.points)
     if n_trunc:
         _warn(f"{n_trunc} branch point(s) near lambda_star saturated the slope cap and carry NaN data")
@@ -208,7 +208,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     lam = _base_lambda(cfg, args, l)
-    window = branch_mod.lambda_h(replace(p, h=l * p.h), cfg.root_tol, cfg.alpha_max)
+    window = branch_mod.lambda_h(replace(p, h=l * p.h), cfg.root_tol)
     if not window.lambda_h < lam <= 1.0:
         raise OutOfRangeError(
             lam,
@@ -216,9 +216,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
             f"lambda={lam:.9g} outside feasible window ({window.lambda_h:.9g}, 1] "
             f"for l={l}, h={p.h:g}",
         )
-    prof = branch_mod.profile_at(
-        lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
-    )
+    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol)
     prof = branch_mod.scale_profile(prof, l)
     if args.parity == "even":
         prof = branch_mod.translate_even(prof, l)
@@ -246,14 +244,10 @@ def cmd_profile(cfg: RunConfig, args) -> None:
 def cmd_pendulum(cfg: RunConfig, args) -> None:
     p = cfg.physical()
     lam = _base_lambda(cfg, args, 1)
-    prof = branch_mod.profile_at(
-        lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
-    )
+    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol)
     even = branch_mod.translate_even(prof, 1)
     traj = pendulum_mod.to_pendulum(even, n_samples=cfg.n_samples)
-    L_formula = pendulum_mod.pendulum_period(
-        lam, tol=cfg.quad_tol, root_tol=cfg.root_tol, alpha_max=cfg.alpha_max
-    )
+    L_formula = pendulum_mod.pendulum_period(lam, tol=cfg.quad_tol, root_tol=cfg.root_tol)
     metadata = {
         "kind": "pendulum",
         "lambda": lam,

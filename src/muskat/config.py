@@ -28,7 +28,6 @@ class RunConfig:
     root_tol: float = 1e-12
     n_points: int = 50
     n_samples: int = 513
-    alpha_max: float = 1e8
     format: str = "csv"
     out: str | None = None
     precision: int = 17
@@ -42,8 +41,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
         if not 6 <= self.precision <= 17:
             raise ConfigError(f"precision must lie in [6, 17], got {self.precision}")
-        if self.alpha_max <= 0.0:
-            raise ConfigError(f"alpha_max must be positive, got {self.alpha_max}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         try:

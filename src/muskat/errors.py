@@ -24,7 +24,7 @@ class OutOfRangeError(MuskatError, ValueError):
 
 
 class SaturationError(MuskatError, RuntimeError):
-    """The slope bracket exceeded alpha_max; the point is beyond numerical reach."""
+    """The branch slope exceeds the cap ALPHA_MAX; the point is beyond numerical reach."""
 
 
 class EventNotFoundError(MuskatError, RuntimeError):

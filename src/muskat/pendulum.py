@@ -31,10 +31,9 @@ import numpy as np
 
 from . import branch as branch_mod
 from .elliptic import Arc
-from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
+from .errors import DomainError, OutOfRangeError, ParityError, SaturationError, SingularityError
 from .ivp import SolutionProfile, max_amplitude
 from .quadrature import cumulative_gauss, gauss_panels
-from .roots import brentq
 
 __all__ = [
     "PendulumTrajectory",
@@ -165,20 +164,8 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
     )
 
 
-def pendulum_period(
-    lam: float,
-    tol: float = 1e-12,
-    root_tol: float = 1e-12,
-    alpha_max: float = branch_mod.DEFAULT_ALPHA_MAX,
-) -> float:
-    """Swing period of the pendulum matched to the branch profile at lam.
-
-    Evaluates (2/sqrt(lam)) * int_{-pi/2}^{pi/2} dt / sqrt(1 - k^2 sin^2 t)
-    with modulus k = sin(arctan(alpha(lam))/2).  Equals 2*pi at lam = 1 and
-    is strictly decreasing in lam.  Raises OutOfRangeError outside
-    (lambda_star, 1].
-    """
-    a = branch_mod.alpha_of_lambda(lam, root_tol, alpha_max)
+def _swing_period(lam: float, a: float, tol: float) -> float:
+    """(2/sqrt(lam)) int_{-pi/2}^{pi/2} dt / sqrt(1 - k^2 sin^2 t), k = sin(arctan(a)/2)."""
     k2 = math.sin(0.5 * math.atan(a)) ** 2
 
     def integrand(t):
@@ -187,31 +174,42 @@ def pendulum_period(
     return (2.0 / math.sqrt(lam)) * gauss_panels(integrand, -0.5 * math.pi, 0.5 * math.pi, tol=tol)
 
 
-def lambda_of_period(
-    L: float,
-    tol: float = 1e-12,
-    alpha_max: float = branch_mod.DEFAULT_ALPHA_MAX,
-) -> float:
+def pendulum_period(lam: float, tol: float = 1e-12, root_tol: float = 1e-12) -> float:
+    """Swing period of the pendulum matched to the branch profile at lam.
+
+    Evaluates (2/sqrt(lam)) * int_{-pi/2}^{pi/2} dt / sqrt(1 - k^2 sin^2 t)
+    with modulus k = sin(arctan(alpha(lam))/2).  Equals 2*pi at lam = 1 and
+    is strictly decreasing in lam.  Raises OutOfRangeError outside
+    (lambda_star, 1].
+    """
+    return _swing_period(lam, branch_mod.alpha_of_lambda(lam, root_tol), tol)
+
+
+def lambda_of_period(L: float, tol: float = 1e-12) -> float:
     """Branch parameter whose swing period is L (inverse of pendulum_period).
 
     Among all pendulum swings, those corresponding to steady profiles of
     circle period 2*pi form the one-parameter family lam in
     (lambda_star, 1] with L(lam) decreasing from its blow-up value down to
-    2*pi; this solves L(lam) = L numerically.  There is no closed form to
-    check against, so the guarantee is self-consistency with
-    pendulum_period only.
+    2*pi.  Along the branch both lam and L are explicit in the slope a,
+    lam = lambda_of_alpha(a), so this is one root solve in a of
+    L(lambda_of_alpha(a), a) = L.  Raises OutOfRangeError below 2*pi and
+    beyond the swing period of ``lambda_floor()``, the slope cap.  There is
+    no closed form to check against, so the guarantee is self-consistency
+    with pendulum_period only.
     """
     two_pi = 2.0 * math.pi
     if L < two_pi - 1e-12:
         raise OutOfRangeError(L, (two_pi, math.inf), f"no swing period below 2*pi, got {L}")
     if L <= two_pi:
         return 1.0
-    floor = branch_mod.lambda_floor(alpha_max)
-    f = lambda lam: pendulum_period(lam, tol=tol, alpha_max=alpha_max) - L
-    if f(floor) < 0.0:
+    lam_of = branch_mod._lambda_of_alpha
+    try:
+        a = branch_mod._slope_root(lambda a: L - _swing_period(lam_of(a), a, tol), tol)
+    except SaturationError:
         raise OutOfRangeError(
             L,
-            (two_pi, pendulum_period(floor, tol=tol, alpha_max=alpha_max)),
+            (two_pi, pendulum_period(branch_mod.lambda_floor(), tol=tol)),
             f"period {L} exceeds the largest resolvable swing period",
-        )
-    return float(brentq(f, floor, 1.0, xtol=tol))
+        ) from None
+    return max(lam_of(a), branch_mod.lambda_floor())

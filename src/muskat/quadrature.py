@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 __all__ = ["cumulative_gauss", "gauss_panels"]
 
 
@@ -24,9 +26,9 @@ def gauss_panels(fn, a, b, tol=1e-12, n_nodes=64, max_panels=64):
     """Integrate a smooth vectorised ``fn`` over [a, b].
 
     Starts from a single ``n_nodes``-point panel and doubles the panel count
-    until two successive estimates agree to ``tol``; the finest estimate is
-    returned if ``max_panels`` is reached first (for the analytic integrands
-    used in this package one or two panels already converge).
+    until two successive estimates agree to ``tol``.  Raises
+    ConvergenceError if they do not by ``max_panels`` panels (for the
+    analytic integrands used in this package one or two panels converge).
     """
     x, w = _nodes(n_nodes)
     prev = None
@@ -40,7 +42,10 @@ def gauss_panels(fn, a, b, tol=1e-12, n_nodes=64, max_panels=64):
         if prev is not None and abs(cur - prev) <= tol:
             return cur
         if panels >= max_panels:
-            return cur
+            raise ConvergenceError(
+                f"Gauss quadrature on [{a:.6g}, {b:.6g}] not converged to tol={tol:g} "
+                f"at {panels} panels (estimate {cur:.16g})"
+            )
         prev = cur
         panels *= 2
 

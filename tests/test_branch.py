@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,8 +73,11 @@ def test_alpha_out_of_range():
 
 
 def test_alpha_saturation_cap():
+    # the slope cap is a module constant; it bites only below lambda_floor
+    c = muskat.constants()
     with pytest.raises(SaturationError):
-        muskat.alpha_of_lambda(0.5, alpha_max=1.0)
+        muskat.alpha_of_lambda(c.lambda_star + 1e-10)
+    assert muskat.alpha_of_lambda(muskat.lambda_floor()) <= branch_mod.ALPHA_MAX
 
 
 def test_alpha_strictly_decreasing():
@@ -323,11 +327,48 @@ def test_coexistence_levels_in_shallow_cells(h):
 
 def test_lambda_floor_is_resolvable_and_bounded(monkeypatch):
     floor = muskat.lambda_floor()
-    assert muskat.theta(floor, branch_mod.DEFAULT_ALPHA_MAX) < math.pi / 2
-    assert muskat.alpha_of_lambda(floor) <= branch_mod.DEFAULT_ALPHA_MAX
+    assert muskat.theta(floor, branch_mod.ALPHA_MAX) < math.pi / 2
+    assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
+    # the explicit lambda of the cap, at most a few ulps below the floor
+    start = branch_mod._lambda_of_alpha(branch_mod.ALPHA_MAX)
+    assert start <= floor <= start + 4 * math.ulp(start)
     monkeypatch.setattr(branch_mod, "FLOOR_NUDGES", 0)
     with pytest.raises(ConvergenceError):
-        branch_mod.lambda_floor.__wrapped__(branch_mod.DEFAULT_ALPHA_MAX)
+        branch_mod.lambda_floor.__wrapped__()
+
+
+def _oracle_amplitude(lam):
+    """Branch amplitude at lam by mpmath: lambda(b) = (2 (2E - K)/pi)^2 solved for b."""
+    with mpmath.workdps(30):
+        def lam_of_b(b):
+            m = (1 - b) / 2
+            return (2 * (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.pi) ** 2
+
+        edge = mpmath.mpf("1e-9")
+        b = mpmath.findroot(lambda b: lam_of_b(b) - lam, (edge, 1 - edge), solver="anderson")
+        return float(2 * mpmath.sqrt((1 - b) / 2 / mpmath.mpf(lam)))
+
+
+def test_touching_endpoint_against_mpmath():
+    # the fingers reach the walls: the oracle amplitude at lambda_h is h, to
+    # 2e-13 plus 8 ulps of lambda_h carried into the amplitude (for small h,
+    # 1 - lambda_h ~ h^2, so one ulp of lambda_h moves the amplitude by ~1e-12)
+    c = muskat.constants()
+    for k in range(1, 61):
+        h = c.h_star * k / 61.0
+        reg = muskat.lambda_h(PhysicalParams(h=h))
+        assert reg.kind is RegimeKind.TOUCHES_BOUNDARY
+        amp = _oracle_amplitude(reg.lambda_h)
+        ulp_amp = abs(_oracle_amplitude(reg.lambda_h + math.ulp(reg.lambda_h)) - amp)
+        assert abs(amp - h) <= 2e-13 * h + 8 * ulp_amp, h
+
+
+def test_lambda_of_alpha_inverts_alpha_of_lambda():
+    c = muskat.constants()
+    for gap in np.logspace(-8.0, math.log10(0.7), 40):
+        lam = c.lambda_star + gap
+        back = branch_mod._lambda_of_alpha(muskat.alpha_of_lambda(lam))
+        assert back == pytest.approx(lam, rel=1e-13)
 
 
 def test_branches_disjoint():

@@ -235,7 +235,6 @@ def test_config_validation_names_fields(tmp_path, capsys):
         ({"precision": 3}, "precision"),
         ({"n_points": 1}, "n_points"),
         ({"format": "xml"}, "format"),
-        ({"alpha_max": -1.0}, "alpha_max"),
     ]:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
@@ -246,11 +245,24 @@ def test_config_validation_names_fields(tmp_path, capsys):
 def test_tol_sets_quadrature_and_root_tolerances(tmp_path, capsys):
     cfg = _resolve_config(build_parser().parse_args(["classify", "--tol", "1e-11"]))
     assert (cfg.quad_tol, cfg.root_tol) == (1e-11, 1e-11)
-    # profiles come from the closed-form arc: there is no ODE tolerance left
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"ode_tol": 1e-10}))
-    assert run(["classify", "--config", str(cfg)]) == 2
-    assert "ode_tol" in capsys.readouterr().err
+    # profiles come from the closed-form arc (no ODE tolerance) and the
+    # slope cap is a library constant: both are unknown keys now
+    for key, value in (("ode_tol", 1e-10), ("alpha_max", 1e8)):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(["classify", "--config", str(cfg)]) == 2
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
+
+
+def test_unconverged_quadrature_is_a_numerical_failure(tmp_path, capsys):
+    # the first sine coefficient stays below ~3.07 on the whole branch, so
+    # the slope solve for l * eps = 4 walks to steep profiles whose Fourier
+    # quadrature cannot converge; that is reported, not returned
+    out = tmp_path / "fit.csv"
+    assert run(["expansion-check", "--l", "40", "--eps", "0.1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "not converged" in err
+    assert not out.exists()
 
 
 def test_no_scipy_on_the_import_path(tmp_path):

@@ -187,6 +187,23 @@ def test_lambda_of_period_inverts_the_formula():
         pendulum_mod.lambda_of_period(6.0)
 
 
+def test_lambda_of_period_round_trip_up_to_the_floor():
+    # one solve in the slope reaches every period up to that of lambda_floor
+    c = muskat.constants()
+    floor = muskat.lambda_floor()
+    gaps = np.logspace(math.log10(floor - c.lambda_star), math.log10(0.7), 25)
+    for lam in [floor, *(c.lambda_star + gaps[1:])]:
+        L = muskat.pendulum_period(lam)
+        back = pendulum_mod.lambda_of_period(L)
+        assert back >= floor
+        assert back == pytest.approx(lam, rel=1e-12)
+        assert muskat.pendulum_period(back) == pytest.approx(L, rel=1e-13)
+    L_floor = muskat.pendulum_period(floor)
+    with pytest.raises(OutOfRangeError) as info:
+        pendulum_mod.lambda_of_period(L_floor + 1e-9)
+    assert info.value.window == (2.0 * math.pi, L_floor)
+
+
 def _arclength(profile, n_intervals=4096):
     """Independent route to the swing period: Gauss quadrature of sqrt(1 + f'^2) in x."""
 
