@@ -458,7 +458,12 @@ def residual(s: SolutionProfile) -> tuple[float, float]:
 
 
 def fourier_sine_coefficient(s: SolutionProfile, k: int = 1, tol: float = 1e-13) -> float:
-    """Coefficient of sin(2 pi k x / T) of the profile over one period."""
+    """Coefficient of sin(2 pi k x / T) of the profile over one period.
+
+    Gauss quadrature in x of the sampled profile's dense evaluator: generic,
+    and the oracle of the branch's own coefficient (``_sine_coefficient``),
+    but it cannot converge on slopes above about 500.
+    """
     ev = _require_dense(s)
     w = 2.0 * math.pi * k / s.period
 
@@ -485,17 +490,23 @@ class ExpansionFit:
     ratios: tuple[float, ...]
 
 
+def _sine_coefficient(a: float, n_nodes: int = 64) -> float:
+    """First sine coefficient of the odd branch profile of slope a.
+
+    The odd profile is the even arc of (lambda_of_alpha(a), a) shifted by a
+    quarter period, so this is the arc's first cosine coefficient, by the
+    periodic trapezoid rule in u (``Arc.cosine_coefficient``).  It rises
+    with a to its sup at a = inf (b = 0), about 3.066268.
+    """
+    return elliptic.Arc(_lambda_of_alpha(a), a).cosine_coefficient(n_nodes)
+
+
 def _lambda_for_coefficient(eps_base: float, root_tol: float) -> float:
     """Base lam whose odd 2*pi profile has first sine coefficient eps_base.
 
-    One solve in the slope a on the profile of (lambda_of_alpha(a), a).
+    One solve in the slope a of _sine_coefficient(a) = eps_base.
     """
-
-    def excess(a: float) -> float:
-        prof = _profile(_lambda_of_alpha(a), a, n_samples=65)
-        return eps_base - fourier_sine_coefficient(prof, 1)
-
-    return _lambda_of_alpha(_slope_root(excess, root_tol))
+    return _lambda_of_alpha(_slope_root(lambda a: eps_base - _sine_coefficient(a), root_tol))
 
 
 def expansion_check(
@@ -511,6 +522,9 @@ def expansion_check(
     coefficient to l * eps; the ratios (gamma(eps) - gamma_bar_l) / eps^2
     are then extrapolated to eps -> 0 by a least-squares fit in eps^2.  The
     limit is 3 g (rho_plus - rho_minus) / 8 for every l.
+
+    Raises OutOfRangeError for an eps at or above c1(b=0)/l, where c1(b=0)
+    (about 3.066268) is the sup of the first coefficient over the branch.
     """
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
@@ -520,6 +534,14 @@ def expansion_check(
     for e in eps_sorted:
         if not 0.0 < e <= 0.1:
             raise DomainError(f"eps values must lie in (0, 0.1], got {e}")
+    eps_sup = _sine_coefficient(math.inf) / l
+    if eps_sorted[-1] >= eps_sup:
+        raise OutOfRangeError(
+            eps_sorted[-1],
+            (0.0, eps_sup),
+            f"eps={eps_sorted[-1]:.9g} outside the window (0, {eps_sup:.9g}) = (0, c1(b=0)/l) "
+            f"for l={l}: no branch point has a larger first coefficient",
+        )
     gb = gamma_bar(p, l)
     gammas = []
     ratios = []

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
         sp.add_argument("--rho-minus", type=float, default=None, help="density of the lower fluid")
         sp.add_argument("--h", type=float, default=None, help="cell half-height")
-        sp.add_argument("--tol", type=float, default=None, help="sets quadrature and root tolerances")
+        sp.add_argument("--tol", type=float, default=None, help="root-solve tolerance (slope solves)")
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
@@ -113,7 +113,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
     )
     if args.tol is not None:
-        overrides.update(quad_tol=args.tol, root_tol=args.tol)
+        overrides.update(root_tol=args.tol)
     n = getattr(args, "n", None)
     if n is not None:
         overrides.update(n_points=n, n_samples=n)
@@ -247,7 +247,7 @@ def cmd_pendulum(cfg: RunConfig, args) -> None:
     prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol)
     even = branch_mod.translate_even(prof, 1)
     traj = pendulum_mod.to_pendulum(even, n_samples=cfg.n_samples)
-    L_formula = pendulum_mod.pendulum_period(lam, tol=cfg.quad_tol, root_tol=cfg.root_tol)
+    L_formula = pendulum_mod.pendulum_period(lam, root_tol=cfg.root_tol)
     metadata = {
         "kind": "pendulum",
         "lambda": lam,

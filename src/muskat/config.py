@@ -24,7 +24,6 @@ class RunConfig:
     rho_plus: float = 1.0
     rho_minus: float = 0.0
     h: float = 2.0
-    quad_tol: float = 1e-12
     root_tol: float = 1e-12
     n_points: int = 50
     n_samples: int = 513
@@ -33,9 +32,8 @@ class RunConfig:
     precision: int = 17
 
     def validate(self) -> None:
-        for name in ("quad_tol", "root_tol"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.root_tol <= 0.0:
+            raise ConfigError(f"root_tol must be positive, got {self.root_tol}")
         for name in ("n_points", "n_samples"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")

@@ -34,7 +34,10 @@ cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
 where the textbook cn / cos(phi_1 - phi_0) does not.  The AGM takes
 c_(n+1) = c_n^2 / (4 a_(n+1)), which equals (a_n - b_n)/2 without its
 cancellation, so c falls monotonically to zero and the loop ends once it is
-below the rounding of a (five steps for m <= 1/2).
+below the rounding of a (five steps for m <= 1/2).  ``complete_integrals``
+and ``Arc`` feed the AGM sqrt((1 + b)/2) and sqrt((1 - b)/2) directly, with
+1 - b from ``one_minus_beta``, and ``Arc`` reuses its rows for the Landen
+recurrence, so its K, E and Jacobi functions come from one AGM.
 """
 
 from __future__ import annotations
@@ -45,15 +48,30 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .period import beta_of_alpha, one_minus_beta
 
-__all__ = ["Arc"]
+__all__ = ["Arc", "beta_of_alpha", "complete_integrals", "one_minus_beta"]
 
 ZETA_TERMS = 12
 TABLE_NODES = 129
 MAX_NEWTON = 64
 
 _EPS = np.finfo(float).eps
+
+
+def beta_of_alpha(alpha: float) -> float:
+    """Evaluate 1/sqrt(1 + alpha^2) in a form stable for huge alpha."""
+    if alpha <= 1.0:
+        return 1.0 / math.sqrt(1.0 + alpha * alpha)
+    inv = 1.0 / alpha
+    return inv / math.sqrt(1.0 + inv * inv)
+
+
+def one_minus_beta(alpha: float) -> float:
+    """Evaluate 1 - beta(alpha) without cancellation for small alpha."""
+    if alpha < 1.0:
+        s = math.sqrt(1.0 + alpha * alpha)
+        return alpha * alpha / (s * (s + 1.0))
+    return 1.0 - beta_of_alpha(alpha)
 
 
 def _agm(b: float, c: float) -> tuple[list[float], list[float]]:
@@ -71,30 +89,61 @@ def _agm(b: float, c: float) -> tuple[list[float], list[float]]:
     return a_s, c_s
 
 
+def _complete(a_s: list[float], c_s: list[float], m: float) -> tuple[float, float, float]:
+    """K, S = 1 - E/K and Q = 1 - 2 S = (2 E - K)/K from the AGM rows of m.
+
+    With t_n = 2^n c_n^2, 2 S = m + sum_(n>=1) t_n (DLMF 19.8.6).  S and Q
+    are each one fsum of the exact m and the t_n, so K - E = K S keeps its
+    digits as m -> 0 and 2 E - K = K Q keeps them at m = 1/2.
+    """
+    k = math.pi / (2.0 * a_s[-1])
+    t = [2.0**n * c * c for n, c in enumerate(c_s[1:], 1)]
+    return k, 0.5 * math.fsum([m, *t]), math.fsum([1.0, -m, *(-x for x in t)])
+
+
+def _arc_agm(alpha: float) -> tuple[list[float], list[float], float]:
+    """The AGM rows of m = (1 - b)/2, b = beta_of_alpha(alpha), and m.
+
+    Starts from sqrt(1 - m) = sqrt((1 + b)/2) and sqrt(m) = sqrt((1 - b)/2)
+    with 1 - b from ``one_minus_beta``, so m is never formed from b by a
+    rounded subtraction.
+    """
+    b = beta_of_alpha(alpha)
+    m = 0.5 * one_minus_beta(alpha)
+    a_s, c_s = _agm(math.sqrt(0.5 * (1.0 + b)), math.sqrt(m))
+    return a_s, c_s, m
+
+
+def complete_integrals(alpha: float) -> tuple[float, float, float]:
+    """K(m), S = 1 - E(m)/K(m) and Q = (2 E(m) - K(m))/K(m) at m = (1 - b)/2, from one AGM."""
+    return _complete(*_arc_agm(alpha))
+
+
 def ellipk(m: float) -> float:
     """Complete elliptic integral of the first kind K(m), 0 <= m < 1."""
-    a_s, _ = _agm(math.sqrt(1.0 - m), math.sqrt(m))
-    return math.pi / (2.0 * a_s[-1])
+    return _complete(*_agm(math.sqrt(1.0 - m), math.sqrt(m)), m)[0]
 
 
 def ellipe(m: float) -> float:
     """Complete elliptic integral of the second kind E(m), 0 <= m < 1."""
-    a_s, c_s = _agm(math.sqrt(1.0 - m), math.sqrt(m))
-    tail = math.fsum(2.0 ** (n - 1) * c * c for n, c in enumerate(c_s))
-    return math.pi / (2.0 * a_s[-1]) * (1.0 - tail)
+    k, tail, _ = _complete(*_agm(math.sqrt(1.0 - m), math.sqrt(m)), m)
+    return k * (1.0 - tail)
 
 
 def ellipkm1(m: float) -> float:
     """K(1 - m), 0 <= m < 1; infinite at m = 0."""
     if m == 0.0:
         return math.inf
-    a_s, _ = _agm(math.sqrt(m), math.sqrt(1.0 - m))
-    return math.pi / (2.0 * a_s[-1])
+    return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
 
 
 def ellipj(u, m: float):
     """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
-    a_s, c_s = _agm(math.sqrt(1.0 - m), math.sqrt(m))
+    return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))
+
+
+def _landen(u, m: float, a_s: list[float], c_s: list[float]):
+    """(sn, cn, dn)(u|m) by the descending Landen recurrence on the AGM rows of m."""
     n = len(a_s) - 1
     phi = (2.0**n * a_s[-1]) * np.asarray(u, dtype=float)
     for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
@@ -119,11 +168,11 @@ class Arc:
         self.lam = lam
         self.alpha = alpha
         self.b = beta_of_alpha(alpha)
-        self.m = 0.5 * one_minus_beta(alpha)
-        self.K = ellipk(self.m)
-        self.E = ellipe(self.m)
+        *self._rows, self.m = _arc_agm(alpha)
+        self.K, tail, ratio = _complete(*self._rows, self.m)
+        self.E = self.K * (1.0 - tail)
         self.root_lam = math.sqrt(lam)
-        self.quarter = (2.0 * self.E - self.K) / self.root_lam
+        self.quarter = self.K * ratio / self.root_lam
         self.length = 4.0 * self.K / self.root_lam
         q = math.exp(-math.pi * ellipkm1(self.m) / self.K)
         n = np.arange(1, ZETA_TERMS + 1)
@@ -135,7 +184,10 @@ class Arc:
     def _table(self):
         """(u, x(u), dx/du) on TABLE_NODES uniform nodes of [0, K]: the inversion's start."""
         u = np.linspace(0.0, self.K, TABLE_NODES)
-        return u, self.x(u), self._dxdu(ellipj(u, self.m)[1])
+        return u, self.x(u), self._dxdu(self._jacobi(u)[1])
+
+    def _jacobi(self, u):
+        return _landen(u, self.m, *self._rows)
 
     def x(self, u):
         """Abscissa of the point at u, measured from the crest."""
@@ -152,12 +204,28 @@ class Arc:
 
     def profile(self, u):
         """(f, f') of the even profile, crest up, at u."""
-        return self._profile(*ellipj(u, self.m))
+        return self._profile(*self._jacobi(u))
 
     def swing(self, u):
         """(theta, theta') of the pendulum swing at u, starting from the crest."""
-        sn, cn, _ = ellipj(u, self.m)
+        sn, cn, _ = self._jacobi(u)
         return -2.0 * np.arcsin(math.sqrt(self.m) * sn), -2.0 * math.sqrt(self.lam * self.m) * cn
+
+    def cosine_coefficient(self, n_nodes: int = 64) -> float:
+        """Coefficient of cos(w x), w = 2 pi/T, of the even profile over its period T.
+
+        T = 4 quarter, and in u the integral (2/T) int_0^T f cos(w x) dx runs
+        over one period [0, 4K] of f(u) cos(w x(u)) x'(u).  That integrand
+        is periodic and analytic in u, also at b = 0 where x' has double
+        zeros, so the ``n_nodes``-point trapezoid rule converges
+        geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
+        """
+        u = np.arange(n_nodes) * (4.0 * self.K / n_nodes)
+        cn = self._jacobi(u)[1]
+        f = 2.0 * math.sqrt(self.m) * cn / self.root_lam
+        w = 0.5 * math.pi / self.quarter
+        terms = f * np.cos(w * self.x(u)) * self._dxdu(cn)
+        return 2.0 * self.K / (n_nodes * self.quarter) * float(np.sum(terms))
 
     def rising_quarter(self, x):
         """(f, f') on the quarter from the zero crossing (x = 0) to the crest (x = quarter)."""
@@ -201,7 +269,7 @@ class Arc:
         for _ in range(MAX_NEWTON):
             ut = u[todo]
             resid = self.x(ut) - x[todo]
-            sn[todo], cn[todo], dn[todo] = ellipj(ut, self.m)
+            sn[todo], cn[todo], dn[todo] = self._jacobi(ut)
             step = resid / self._dxdu(cn[todo])
             lo_t = np.where(resid < 0.0, ut, lo[todo])
             hi_t = np.where(resid > 0.0, ut, hi[todo])

@@ -141,8 +141,8 @@ def quarter_period(lam: float, alpha: float, tol: float = 1e-10) -> float:
     """Smallest x > 0 with f'(x) = 0, located by event detection.
 
     This is the same quantity as ``period.theta`` computed by an
-    independent route (ODE integration instead of quadrature); the two are
-    cross-checked against each other in the test suite.
+    independent route (ODE integration instead of the closed form); the two
+    are cross-checked against each other in the test suite.
     """
     if lam <= 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")

@@ -11,15 +11,16 @@ m = (1 - b)/2, b = 1/sqrt(1 + alpha^2), the swing is the Jacobi arc
 of amplitude arctan(alpha) (``elliptic.Arc``); ``to_pendulum`` samples it.
 The inverse map is generic: it rebuilds the profile from any sampled
 swing by integrating cos(theta) for the abscissa and reading f from
--theta'/lam.  The swing period has the elliptic closed form
+-theta'/lam.  The swing period is L = 4 K(m)/sqrt(lam).  Along the branch
+sqrt(lam) = 2 (2 E(m) - K(m))/pi (the quarter period is pi/2), so
 
-    L(lam) = (2/sqrt(lam)) int_{-pi/2}^{pi/2}
-             dt / sqrt(1 - k^2 sin^2 t),   k = sin(arctan(alpha(lam)) / 2),
+    L = 2 pi K(m) / (2 E(m) - K(m)),
 
-which is strictly decreasing in lam; since |arctan alpha| < pi/2 the
-modulus stays below sqrt(1/2) and the integrand is uniformly smooth.
-``pendulum_period`` evaluates it by Gauss quadrature, independently of the
-4 K(k^2)/sqrt(lam) that ``to_pendulum`` reports.
+a function of the slope alone, strictly decreasing in lam from
+4 K(1/2)^2 = 4/lambda_star at the blow-up end to 2 pi at lam = 1.
+``pendulum_period`` evaluates this branch form at the solved slope
+alpha(lam); ``to_pendulum`` reports 4 K/sqrt(lam) at the given lam, so the
+two agree to the accuracy of the slope solve.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import branch as branch_mod
-from .elliptic import Arc
+from .elliptic import Arc, complete_integrals
 from .errors import DomainError, OutOfRangeError, ParityError, SaturationError, SingularityError
 from .ivp import SolutionProfile, max_amplitude
-from .quadrature import cumulative_gauss, gauss_panels
+from .quadrature import cumulative_gauss
 
 __all__ = [
     "PendulumTrajectory",
@@ -164,25 +165,19 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
     )
 
 
-def _swing_period(lam: float, a: float, tol: float) -> float:
-    """(2/sqrt(lam)) int_{-pi/2}^{pi/2} dt / sqrt(1 - k^2 sin^2 t), k = sin(arctan(a)/2)."""
-    k2 = math.sin(0.5 * math.atan(a)) ** 2
-
-    def integrand(t):
-        return 1.0 / np.sqrt(1.0 - k2 * np.sin(t) ** 2)
-
-    return (2.0 / math.sqrt(lam)) * gauss_panels(integrand, -0.5 * math.pi, 0.5 * math.pi, tol=tol)
+def _swing_period(a: float) -> float:
+    """2 pi K/(2 E - K) = 2 pi/Q: the swing period of the branch point of slope a."""
+    return 2.0 * math.pi / complete_integrals(a)[2]
 
 
-def pendulum_period(lam: float, tol: float = 1e-12, root_tol: float = 1e-12) -> float:
+def pendulum_period(lam: float, root_tol: float = 1e-12) -> float:
     """Swing period of the pendulum matched to the branch profile at lam.
 
-    Evaluates (2/sqrt(lam)) * int_{-pi/2}^{pi/2} dt / sqrt(1 - k^2 sin^2 t)
-    with modulus k = sin(arctan(alpha(lam))/2).  Equals 2*pi at lam = 1 and
-    is strictly decreasing in lam.  Raises OutOfRangeError outside
-    (lambda_star, 1].
+    Evaluates L = 2 pi K(m)/(2 E(m) - K(m)) at the slope alpha(lam), solved
+    to ``root_tol``.  Equals 2*pi at lam = 1 and is strictly decreasing in
+    lam.  Raises OutOfRangeError outside (lambda_star, 1].
     """
-    return _swing_period(lam, branch_mod.alpha_of_lambda(lam, root_tol), tol)
+    return _swing_period(branch_mod.alpha_of_lambda(lam, root_tol))
 
 
 def lambda_of_period(L: float, tol: float = 1e-12) -> float:
@@ -190,26 +185,28 @@ def lambda_of_period(L: float, tol: float = 1e-12) -> float:
 
     Among all pendulum swings, those corresponding to steady profiles of
     circle period 2*pi form the one-parameter family lam in
-    (lambda_star, 1] with L(lam) decreasing from its blow-up value down to
-    2*pi.  Along the branch both lam and L are explicit in the slope a,
-    lam = lambda_of_alpha(a), so this is one root solve in a of
-    L(lambda_of_alpha(a), a) = L.  Raises OutOfRangeError below 2*pi and
-    beyond the swing period of ``lambda_floor()``, the slope cap.  There is
-    no closed form to check against, so the guarantee is self-consistency
-    with pendulum_period only.
+    (lambda_star, 1] with L(lam) decreasing from 4/lambda_star down to
+    2*pi.  Along the branch L = 2 pi K/(2 E - K) and lam =
+    lambda_of_alpha(a) are both explicit in the slope a, so this is one
+    root solve in a, to ``tol``; periods the slope cap cannot separate from
+    that of ``lambda_floor()`` return the floor.  Raises OutOfRangeError
+    below 2*pi and beyond the swing period of ``lambda_floor()``.
     """
     two_pi = 2.0 * math.pi
     if L < two_pi - 1e-12:
         raise OutOfRangeError(L, (two_pi, math.inf), f"no swing period below 2*pi, got {L}")
     if L <= two_pi:
         return 1.0
-    lam_of = branch_mod._lambda_of_alpha
+    floor = branch_mod.lambda_floor()
     try:
-        a = branch_mod._slope_root(lambda a: L - _swing_period(lam_of(a), a, tol), tol)
+        a = branch_mod._slope_root(lambda a: L - _swing_period(a), tol)
     except SaturationError:
+        # L is flat in a to rounding at the cap, so the floor's own period
+        # can equal L(ALPHA_MAX) and leave the bracket without a sign change
+        L_floor = pendulum_period(floor)
+        if L <= L_floor:
+            return floor
         raise OutOfRangeError(
-            L,
-            (two_pi, pendulum_period(branch_mod.lambda_floor(), tol=tol)),
-            f"period {L} exceeds the largest resolvable swing period",
+            L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period"
         ) from None
-    return max(lam_of(a), branch_mod.lambda_floor())
+    return max(branch_mod._lambda_of_alpha(a), floor)

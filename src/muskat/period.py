@@ -1,27 +1,23 @@
-"""Quarter-period integral of the steady fingering profiles.
+"""Quarter-period map of the steady fingering profiles.
 
 For initial slope ``alpha`` and eigenvalue ``lam`` the first positive x at
-which the profile slope vanishes has the closed integral form
+which the profile slope vanishes is the quarter of the Jacobi arc,
 
-    theta(lam, alpha) = sqrt(2/lam) * int_0^1
-        [(1-beta) tau^2 + beta]
-        / sqrt((1 - tau^2) (1 + (1-beta) tau^2 + beta)) dtau,
+    theta(lam, alpha) = (2 E(m) - K(m)) / sqrt(lam),   m = (1 - b)/2,
 
-with ``beta = 1/sqrt(1 + alpha^2)``.  The (1-tau)^(-1/2) endpoint
-singularity is removed analytically by ``tau = sin(phi)``, which maps the
-integrand onto a smooth function of phi on [0, pi/2]; composite
-Gauss-Legendre then converges at spectral rate.  This module is the
-analytic backbone the branch solvers root-find against.
+with ``b = 1/sqrt(1 + alpha^2)`` (DLMF §19.8; ``elliptic.Arc``).  It equals
+sqrt(2/lam) int_0^1 [(1-b) tau^2 + b] / sqrt((1 - tau^2)(1 + (1-b) tau^2 + b)) dtau,
+the integral form that the test suite keeps as an independent route.  K and
+E come from one AGM per call (``elliptic.complete_integrals``).  The branch
+solvers root-find against this map.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from .elliptic import beta_of_alpha, complete_integrals, one_minus_beta
 from .errors import DomainError
-from .quadrature import gauss_panels
 from .special import constants
 
 __all__ = [
@@ -34,22 +30,6 @@ __all__ = [
 ]
 
 
-def beta_of_alpha(alpha: float) -> float:
-    """Evaluate 1/sqrt(1 + alpha^2) in a form stable for huge alpha."""
-    if alpha <= 1.0:
-        return 1.0 / math.sqrt(1.0 + alpha * alpha)
-    inv = 1.0 / alpha
-    return inv / math.sqrt(1.0 + inv * inv)
-
-
-def one_minus_beta(alpha: float) -> float:
-    """Evaluate 1 - beta(alpha) without cancellation for small alpha."""
-    if alpha < 1.0:
-        s = math.sqrt(1.0 + alpha * alpha)
-        return alpha * alpha / (s * (s + 1.0))
-    return 1.0 - beta_of_alpha(alpha)
-
-
 def _validate(lam: float, alpha: float) -> None:
     if lam <= 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
@@ -57,7 +37,7 @@ def _validate(lam: float, alpha: float) -> None:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
 
 
-def theta(lam: float, alpha: float, tol: float = 1e-12) -> float:
+def theta(lam: float, alpha: float) -> float:
     """Quarter period of the profile with parameters (lam, alpha).
 
     Parameters
@@ -67,22 +47,16 @@ def theta(lam: float, alpha: float, tol: float = 1e-12) -> float:
     alpha : float
         Slope at the zero crossing, >= 0.  The map extends continuously to
         alpha = 0 with value pi / (2 sqrt(lam)).
-    tol : float
-        Absolute quadrature tolerance.
 
     Returns
     -------
     float
-        sqrt(2/lam) times the period integral, accurate to ``tol``.
+        (2 E(m) - K(m)) / sqrt(lam), evaluated as K Q / sqrt(lam) with
+        Q = (2E - K)/K from the AGM; bitwise ``elliptic.Arc(lam, alpha).quarter``.
     """
     _validate(lam, alpha)
-    b = beta_of_alpha(alpha)
-
-    def integrand(phi):
-        g = b + (1.0 - b) * np.sin(phi) ** 2
-        return g / np.sqrt(1.0 + g)
-
-    return math.sqrt(2.0 / lam) * gauss_panels(integrand, 0.0, 0.5 * math.pi, tol=tol)
+    k, _, q = complete_integrals(alpha)
+    return k * q / math.sqrt(lam)
 
 
 def theta_limit_zero(lam: float) -> float:
@@ -99,25 +73,20 @@ def theta_limit_infinity(lam: float) -> float:
     return constants().beta_3_4_1_2 / (2.0 * math.sqrt(2.0 * lam))
 
 
-def dtheta_dalpha(lam: float, alpha: float, tol: float = 1e-12) -> float:
+def dtheta_dalpha(lam: float, alpha: float) -> float:
     """Partial derivative of theta with respect to alpha, for alpha > 0.
 
-    Differentiates under the integral sign through beta: the integrand
-    derivative is cos(phi)^2 (2 + g) / (2 (1 + g)^(3/2)) and
-    d beta / d alpha = -alpha beta^3.  Strictly negative (theta decreases
-    in alpha).
+    With dK/dm = (E - (1-m) K) / (2 m (1-m)) and dE/dm = (E - K) / (2 m),
+    d(2E - K)/dm = -K (m + b S) / (2 m (1-m)), where S = 1 - E/K is the
+    AGM tail; dm/dalpha = alpha b^3 / 2 and 2 m (1-m) = alpha^2 b^2 / 2
+    reduce the product to -b K (m + b S) / (alpha sqrt(lam)), a quotient of
+    positive terms.  Strictly negative (theta decreases in alpha).
     """
     if lam <= 0.0:
         raise DomainError(f"lambda must be positive, got {lam}")
     if alpha <= 0.0:
         raise DomainError(f"dtheta_dalpha requires alpha > 0, got {alpha}")
     b = beta_of_alpha(alpha)
-    dbeta = -alpha * b**3
-
-    def integrand(phi):
-        c2 = np.cos(phi) ** 2
-        g = b + (1.0 - b) * np.sin(phi) ** 2
-        return c2 * (2.0 + g) / (2.0 * (1.0 + g) ** 1.5)
-
-    part = gauss_panels(integrand, 0.0, 0.5 * math.pi, tol=tol)
-    return math.sqrt(2.0 / lam) * dbeta * part
+    k, tail, _ = complete_integrals(alpha)
+    m = 0.5 * one_minus_beta(alpha)
+    return -b * k * (m + b * tail) / (alpha * math.sqrt(lam))

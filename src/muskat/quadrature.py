@@ -1,9 +1,11 @@
 """Composite Gauss-Legendre quadrature for smooth integrands.
 
 Endpoint singularities are removed analytically by the callers (e.g. the
-``tau = sin(phi)`` substitution for the quarter-period integral), so a
-panel-doubling Gauss rule with a Richardson-style stopping estimate is all
-that is needed here.
+``tau = sin(phi)`` substitution in the quarter-period oracle of the test
+suite), so a panel-doubling Gauss rule with a Richardson-style stopping
+estimate is all that is needed here.  ``gauss_panels`` serves the generic
+``branch.fourier_sine_coefficient`` and the test oracles; ``cumulative_gauss``
+serves ``pendulum.from_pendulum``.
 """
 
 from __future__ import annotations

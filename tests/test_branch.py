@@ -281,6 +281,35 @@ def test_expansion_eps_validation():
         muskat.expansion_check(P_UNIT, l=1, eps_list=())
 
 
+def test_expansion_eps_beyond_the_coefficient_sup():
+    # the first coefficient rises to c1(b=0) ~ 3.066268 at the blow-up end,
+    # so l * eps at or above it has no branch point: bad input, not a failure
+    sup = branch_mod._sine_coefficient(math.inf)
+    assert sup == pytest.approx(3.066268, abs=1e-6)
+    with pytest.raises(OutOfRangeError) as info:
+        muskat.expansion_check(P_UNIT, l=40, eps_list=(0.02, 0.1))
+    assert info.value.window == (0.0, sup / 40)
+    assert "c1(b=0)/l" in str(info.value)
+
+
+@pytest.mark.parametrize("a", [0.3, 2.0, 30.0])
+def test_sine_coefficient_against_x_quadrature(a):
+    # the trapezoid rule in u against the Gauss route in x on the sampled profile
+    prof = branch_mod._profile(branch_mod._lambda_of_alpha(a), a, n_samples=65)
+    assert branch_mod._sine_coefficient(a) == pytest.approx(
+        muskat.fourier_sine_coefficient(prof, 1), abs=2e-15
+    )
+
+
+@pytest.mark.parametrize("a", [512.0, 1e4, 1e7])
+def test_sine_coefficient_converges_on_steep_profiles(a):
+    # where the Gauss route in x cannot converge, the trapezoid rule in u
+    # has converged at 64 nodes, and the coefficient stays below its sup
+    c64 = branch_mod._sine_coefficient(a)
+    assert abs(c64 - branch_mod._sine_coefficient(a, n_nodes=128)) <= 1e-15
+    assert c64 < branch_mod._sine_coefficient(math.inf)
+
+
 def test_coexistence_levels():
     c = muskat.constants()
     levels = muskat.coexistence_levels(P_UNIT, 6)
@@ -361,6 +390,19 @@ def test_touching_endpoint_against_mpmath():
         amp = _oracle_amplitude(reg.lambda_h)
         ulp_amp = abs(_oracle_amplitude(reg.lambda_h + math.ulp(reg.lambda_h)) - amp)
         assert abs(amp - h) <= 2e-13 * h + 8 * ulp_amp, h
+
+
+def test_lambda_of_b_against_mpmath():
+    # lambda(b) = (2 (2E - K)/pi)^2 at b = 10^-k, written in b (the slope
+    # carries only ulp(lambda)/gap at fixed lambda): the float slope of b,
+    # and the oracle at the b of that slope exactly; twice theta's 2e-15
+    with mpmath.workdps(40):
+        for k in range(1, 13):
+            b = mpmath.mpf(10.0**-k)
+            alpha = float(mpmath.sqrt(1 - b * b) / b)
+            m = (1 - 1 / mpmath.sqrt(1 + mpmath.mpf(alpha) ** 2)) / 2
+            exact = (2 * (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.pi) ** 2
+            assert abs(branch_mod._lambda_of_alpha(alpha) / exact - 1) <= 4e-15, k
 
 
 def test_lambda_of_alpha_inverts_alpha_of_lambda():

@@ -242,26 +242,47 @@ def test_config_validation_names_fields(tmp_path, capsys):
         assert field in capsys.readouterr().err
 
 
-def test_tol_sets_quadrature_and_root_tolerances(tmp_path, capsys):
+def test_tol_sets_the_root_tolerance(tmp_path, capsys):
     cfg = _resolve_config(build_parser().parse_args(["classify", "--tol", "1e-11"]))
-    assert (cfg.quad_tol, cfg.root_tol) == (1e-11, 1e-11)
-    # profiles come from the closed-form arc (no ODE tolerance) and the
-    # slope cap is a library constant: both are unknown keys now
-    for key, value in (("ode_tol", 1e-10), ("alpha_max", 1e8)):
+    assert cfg.root_tol == 1e-11
+    # profiles come from the closed-form arc (no ODE tolerance), the slope
+    # cap is a library constant and no quadrature runs in production: all
+    # three are unknown keys now
+    for key, value in (("ode_tol", 1e-10), ("alpha_max", 1e8), ("quad_tol", 1e-12)):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run(["classify", "--config", str(cfg)]) == 2
         assert f"unknown configuration key '{key}'" in capsys.readouterr().err
 
 
-def test_unconverged_quadrature_is_a_numerical_failure(tmp_path, capsys):
-    # the first sine coefficient stays below ~3.07 on the whole branch, so
-    # the slope solve for l * eps = 4 walks to steep profiles whose Fourier
-    # quadrature cannot converge; that is reported, not returned
+def test_pendulum_with_a_tolerance_below_rounding(tmp_path):
+    # a root tolerance below the rounding of lambda must not fail the swing period
+    lam = float(np.linspace(0.3, 0.99, 50)[26])
+    out = tmp_path / "swing.csv"
+    assert run(["pendulum", "--lambda", repr(lam), "--tol", "1e-17", "--out", str(out)]) == 0
+    meta, _ = read_table(str(out))
+    assert float(meta["L_abs_diff"]) <= 1e-14
+
+
+def test_expansion_check_out_of_window_is_bad_input(tmp_path, capsys):
+    # the first sine coefficient stays below c1(b=0) ~ 3.066268 on the whole
+    # branch, so l * eps = 4 has no branch point: the window is quoted
     out = tmp_path / "fit.csv"
-    assert run(["expansion-check", "--l", "40", "--eps", "0.1", "--out", str(out)]) == 1
+    assert run(["expansion-check", "--l", "40", "--eps", "0.1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and "not converged" in err
+    assert err.startswith("error: eps=0.1 outside the window (0, 0.0766567")
+    assert "c1(b=0)/l" in err
+    assert not out.exists()
+
+
+def test_convergence_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
+    def unconverged(*args, **kwargs):
+        raise muskat.ConvergenceError("iteration not converged")
+
+    monkeypatch.setattr(muskat.branch, "expansion_check", unconverged)
+    out = tmp_path / "fit.csv"
+    assert run(["expansion-check", "--eps", "0.04", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "numerical failure: iteration not converged\n"
     assert not out.exists()
 
 

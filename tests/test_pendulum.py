@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from oracles import swing_period_gauss
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipk
 
 import muskat
 from muskat import DomainError, OutOfRangeError, ParityError, SingularityError
+from muskat import branch as branch_mod
 from muskat import pendulum as pendulum_mod
 from muskat.quadrature import cumulative_gauss
 
@@ -144,6 +146,20 @@ def test_period_formula_against_elliptic_oracle(lam):
     modulus_sq = math.sin(0.5 * math.atan(a)) ** 2
     oracle = 4.0 / math.sqrt(lam) * ellipk(modulus_sq)
     assert muskat.pendulum_period(lam) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_branch_form_against_gauss_swing_oracle():
+    # 2 pi K/(2E - K) is the swing period at lambda(a): to rounding against
+    # the Gauss swing integral there, and to the slope solve at the given lam
+    for lam in (0.35, 0.6, 0.9, muskat.constants().lambda_star + 1e-6):
+        a = muskat.alpha_of_lambda(lam)
+        lam_a = branch_mod._lambda_of_alpha(a)
+        assert pendulum_mod._swing_period(a) == pytest.approx(
+            swing_period_gauss(lam_a, a), rel=1e-15
+        ), lam
+        assert muskat.pendulum_period(lam) == pytest.approx(
+            swing_period_gauss(lam, a), rel=1e-13
+        ), lam
 
 
 def test_period_formula_matches_arclength():

@@ -2,13 +2,20 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dtheta_dalpha_gauss, theta_gauss
 from scipy.integrate import quad
 
 import muskat
 from muskat import DomainError
+from muskat.elliptic import Arc
+
+#: 37 slopes from 1e-6 to 1e12, five per decade
+ALPHAS = np.logspace(-6.0, 12.0, 37).tolist()
 
 
 def test_closed_form_at_zero_slope():
@@ -110,3 +117,30 @@ def test_consistency_with_ode_route(lam, alpha):
     assert muskat.theta(lam, alpha) == pytest.approx(
         muskat.quarter_period(lam, alpha, tol=1e-11), abs=1e-8
     )
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.0, 2.0])
+def test_closed_form_against_mpmath_and_gauss(lam):
+    # (2E - K)/sqrt(lam) at m = (1 - b)/2, with b from the float alpha exactly
+    with mpmath.workdps(40):
+        for alpha in ALPHAS:
+            b = 1 / mpmath.sqrt(1 + mpmath.mpf(alpha) ** 2)
+            m = (1 - b) / 2
+            exact = (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.sqrt(lam)
+            got = muskat.theta(lam, alpha)
+            assert abs(got / exact - 1) <= 2e-15, alpha
+            assert got == pytest.approx(theta_gauss(lam, alpha), rel=2e-15), alpha
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0])
+def test_dtheta_dalpha_against_gauss_oracle(lam):
+    for alpha in ALPHAS:
+        assert muskat.dtheta_dalpha(lam, alpha) == pytest.approx(
+            dtheta_dalpha_gauss(lam, alpha), rel=2e-15
+        ), alpha
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
+def test_arc_quarter_is_theta(lam):
+    for alpha in [0.0, *ALPHAS, math.inf]:
+        assert Arc(lam, alpha).quarter == muskat.theta(lam, alpha)
