@@ -300,8 +300,26 @@ def _require_dense(s: SolutionProfile):
     return s.evaluate
 
 
+def _on_period_grid(s: SolutionProfile) -> bool:
+    """Whether s is sampled on the closed uniform grid linspace(0, period, n)."""
+    return np.array_equal(s.x, np.linspace(0.0, s.period, s.x.size))
+
+
+def _roll_closed(v: np.ndarray, k: int) -> np.ndarray:
+    """Closed-grid samples shifted by k steps: v[k], ..., v[n - 2], v[0], ..., v[k]."""
+    rolled = np.roll(v[:-1], -k)
+    return np.append(rolled, rolled[0])
+
+
 def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
-    """Exact mode-l rescaling f -> f(l .) / l (eigenvalue lam -> lam l^2)."""
+    """Exact mode-l rescaling f -> f(l .) / l (eigenvalue lam -> lam l^2).
+
+    The scaled profile is sampled on linspace(0, period / l, n).  When s
+    is sampled on linspace(0, period, n), as every library profile is, l
+    times that grid is s's grid up to rounding, so the samples are
+    (f / l, f') of s's samples and nothing is evaluated; otherwise they
+    are evaluated.  ``evaluate`` is f(l x) / l of s's evaluator.
+    """
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     if l == 1:
@@ -313,7 +331,10 @@ def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
         return f / l, fp
 
     xs = np.linspace(0.0, s.period / l, s.x.size)
-    f, fp = ev_scaled(xs)
+    if _on_period_grid(s):
+        f, fp = s.f / l, s.f_prime.copy()
+    else:
+        f, fp = ev_scaled(xs)
     return SolutionProfile(
         lam=s.lam * l * l,
         alpha=s.alpha,
@@ -331,6 +352,11 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
 
     The branch of even profiles of minimal period 2*pi/l is exactly the odd
     branch shifted by pi/(2l); the shift puts the profile maximum at x = 0.
+    When s is sampled on linspace(0, period, 4k + 1), as the library's
+    default profiles are, the shift is k grid steps: the samples are the
+    odd samples rolled by k, with the closing sample repeating the first,
+    and nothing is evaluated; other grids are evaluated.  ``evaluate`` is
+    s's evaluator at x + period / 4.
     """
     if s.parity != "odd":
         raise ParityError(f"translate_even requires an odd profile, got parity={s.parity!r}")
@@ -345,7 +371,11 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
         return ev(np.asarray(x, dtype=float) + shift)
 
     xs = s.x.copy()
-    f, fp = ev_even(xs)
+    k, rem = divmod(xs.size - 1, 4)
+    if k > 0 and rem == 0 and _on_period_grid(s):
+        f, fp = _roll_closed(s.f, k), _roll_closed(s.f_prime, k)
+    else:
+        f, fp = ev_even(xs)
     return SolutionProfile(
         lam=s.lam,
         alpha=s.alpha,

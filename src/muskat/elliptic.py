@@ -24,10 +24,11 @@ b.  Z is summed from its nome series
 
 so twelve terms reach 1e-17.
 
-The kernel is numpy and the math module only.  ``ellipk``, ``ellipe`` and
-``ellipkm1`` come from the arithmetic-geometric mean of 1 and b0 (DLMF
-§19.8(i)): K = pi / (2 AGM), and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).
-``ellipj`` runs the same AGM and then the descending Landen recurrence
+The kernel is numpy and the math module only.  K and E come from the
+arithmetic-geometric mean of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
+and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6); ``ellipkm1`` gives the
+nome's K(1 - m) the same way.  The Jacobi functions run the same AGM and
+then the descending Landen recurrence
 phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
 down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
 cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
@@ -119,27 +120,11 @@ def complete_integrals(alpha: float) -> tuple[float, float, float]:
     return _complete(*_arc_agm(alpha))
 
 
-def ellipk(m: float) -> float:
-    """Complete elliptic integral of the first kind K(m), 0 <= m < 1."""
-    return _complete(*_agm(math.sqrt(1.0 - m), math.sqrt(m)), m)[0]
-
-
-def ellipe(m: float) -> float:
-    """Complete elliptic integral of the second kind E(m), 0 <= m < 1."""
-    k, tail, _ = _complete(*_agm(math.sqrt(1.0 - m), math.sqrt(m)), m)
-    return k * (1.0 - tail)
-
-
 def ellipkm1(m: float) -> float:
     """K(1 - m), 0 <= m < 1; infinite at m = 0."""
     if m == 0.0:
         return math.inf
     return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
-
-
-def ellipj(u, m: float):
-    """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
-    return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))
 
 
 def _landen(u, m: float, a_s: list[float], c_s: list[float]):

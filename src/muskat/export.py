@@ -3,7 +3,8 @@
 CSV files carry '#'-prefixed key=value metadata lines, then a column-name
 row, then data rows in full-precision scientific notation (LF line
 endings, '.' decimal point, ',' separator).  JSON files nest metadata and
-samples under a schema_version field.  Identical inputs produce
+samples under a schema_version field, laid out as json.dump(..., indent=1)
+lays them out.  Columns are one-dimensional.  Identical inputs produce
 byte-identical files: no timestamps, fixed key order, fixed float
 formatting.
 """
@@ -39,25 +40,33 @@ def _write_csv(fh: IO[str], metadata, columns, precision):
     for arr in arrays:
         if arr.size != n_rows:
             raise ValueError("all columns must have the same length")
-    # float or plain formatting is decided once per column, not per cell
-    cells = [
-        [format_float(v, precision) for v in arr.astype(float).tolist()]
-        if np.issubdtype(arr.dtype, np.floating)
-        else [str(v) for v in arr]
-        for arr in arrays
-    ]
-    for row in zip(*cells):
-        fh.write(",".join(row) + "\n")
+    # float or plain formatting is decided once per column, not per cell;
+    # "%.{p-1}e" and "%s" give the bytes of format_float and str
+    floats = [np.issubdtype(arr.dtype, np.floating) for arr in arrays]
+    row = ",".join(f"%.{precision - 1}e" if is_float else "%s" for is_float in floats) + "\n"
+    cells = [arr.astype(float).tolist() if is_float else list(arr) for arr, is_float in zip(arrays, floats)]
+    fh.write("".join([row % values for values in zip(*cells)]))
+
+
+def _json_list(values: list) -> str:
+    """A flat list laid out as json.dump(..., indent=1) lays it out two levels deep.
+
+    The C encoder writes it, with the newline and indent folded into its
+    item separator.
+    """
+    if not values:
+        return "[]"
+    return "[\n   " + json.dumps(values, separators=(",\n   ", ": "))[1:-1] + "\n  ]"
 
 
 def _write_json(fh: IO[str], metadata, columns, precision):
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "metadata": dict(metadata),
-        "samples": {name: np.atleast_1d(np.asarray(col)).tolist() for name, col in columns.items()},
-    }
-    json.dump(payload, fh, indent=1)
-    fh.write("\n")
+    header = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": dict(metadata)}, indent=1)
+    samples = ",\n".join(
+        f"  {json.dumps(name)}: {_json_list(np.atleast_1d(np.asarray(col)).tolist())}"
+        for name, col in columns.items()
+    )
+    # the header's closing "\n}" makes way for the samples object
+    fh.write(header[:-2] + ',\n "samples": ' + (f"{{\n{samples}\n }}" if samples else "{}") + "\n}\n")
 
 
 def write_table(

@@ -245,21 +245,41 @@ def _odd_extension_evaluator(dense, theta_end: float) -> Evaluator:
     return ev
 
 
+def _reflect_quarter(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples on the closed grid of 4k intervals from the k + 1 quarter samples.
+
+    The quarter runs from the zero crossing (index 0) to the crest (index
+    k); the other three quadrants are its odd reflections, so the last
+    sample is -F[0] (zero up to the arc's rounding).
+    """
+    back_f, back_g = F[-2::-1], G[-2::-1]
+    f = np.concatenate((F, back_f, -F[1:], -back_f))
+    fp = np.concatenate((G, -back_g, -G[1:], back_g))
+    return f, fp
+
+
 def extend_odd_periodic(q: QuarterProfile, n_samples: int = 513) -> SolutionProfile:
     """Full-period odd profile from a quarter arc via the reflection rules.
 
     The profile has period 4 * theta_end, satisfies f(-x) = -f(x), and is
-    sampled on a uniform closed grid of ``n_samples`` points (the default
-    gives 512 intervals per period; grids with n_samples = 4k + 1 contain
-    the quarter-period points, so the sampled peak equals the closed-form
-    amplitude).
+    sampled on a uniform closed grid of ``n_samples`` points.  When
+    n_samples = 4k + 1 (the default gives 512 intervals per period) the
+    grid contains the quarter-period points: ``q.dense`` is called once, on
+    the k + 1 abscissae of the first quarter, and the other quarters are
+    its exact odd reflection, so the sampled peak is the closed-form
+    amplitude.  Other grids evaluate the folded abscissae directly.
+    ``evaluate`` folds any x onto the quarter either way.
     """
     if q.dense is None:
         raise DomainError("quarter profile lacks dense output")
     period = 4.0 * q.theta_end
     ev = _odd_extension_evaluator(q.dense, q.theta_end)
     xs = np.linspace(0.0, period, n_samples)
-    f, fp = ev(xs)
+    k, rem = divmod(n_samples - 1, 4)
+    if rem == 0:
+        f, fp = _reflect_quarter(*q.dense(xs[: k + 1]))
+    else:
+        f, fp = ev(xs)
     return SolutionProfile(
         lam=q.lam,
         alpha=q.alpha,

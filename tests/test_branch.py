@@ -251,6 +251,52 @@ def test_translate_even_parity_guard():
         muskat.translate_even(prof, 2)  # period mismatch for mode 2
 
 
+def _transformed(prof):
+    """Every profile the mode, parity and sign transforms make of prof."""
+    for l in (1, 2, 3):
+        scaled = branch_mod.scale_profile(prof, l)
+        for shown in (scaled, branch_mod.translate_even(scaled, l)):
+            yield shown
+            yield branch_mod.negate_profile(shown)
+
+
+# 513 and 101 (4k + 1) reuse the quarter's samples; 100, 102 and 103 evaluate
+@pytest.mark.parametrize("n", [513, 101, 100, 102, 103])
+@pytest.mark.parametrize("gap", [1e-8, 1e-6, 1e-3, 0.1, 0.5])
+def test_profile_samples_agree_with_their_evaluator(gap, n):
+    lam = muskat.constants().lambda_star + gap
+    prof = muskat.profile_at(lam, n_samples=n)
+    beta = 1.0 / math.sqrt(1.0 + prof.alpha**2)
+    drift = 1.0 / np.sqrt(1.0 + prof.f_prime**2) - 0.5 * lam * prof.f**2 - beta
+    assert np.max(np.abs(drift)) <= 1e-14
+    if n % 4 == 1:
+        crest = muskat.max_amplitude(lam, prof.alpha)
+        assert abs(prof.f[(n - 1) // 4] - crest) <= 2.0 * np.spacing(crest)
+    for shown in _transformed(prof):
+        f, fp = shown.evaluate(shown.x)
+        scale = np.maximum(np.abs(fp), 1.0)
+        assert np.all(np.abs(shown.f - f) <= 4.0 * np.spacing(shown.period) * scale), (shown.lam, shown.parity)
+        assert np.all(np.abs(shown.f_prime - fp) <= 1e-12 * scale), (shown.lam, shown.parity)
+
+
+def test_transforms_evaluate_off_the_period_grid():
+    prof = muskat.profile_at(0.6)
+    bent = muskat.SolutionProfile(
+        lam=prof.lam,
+        alpha=prof.alpha,
+        period=prof.period,
+        parity="odd",
+        x=prof.period * np.linspace(0.0, 1.0, prof.x.size) ** 2,
+        f=np.zeros(prof.x.size),
+        f_prime=np.zeros(prof.x.size),
+        evaluate=prof.evaluate,
+    )
+    for shown in (branch_mod.scale_profile(bent, 2), branch_mod.translate_even(bent, 1)):
+        f, fp = shown.evaluate(shown.x)
+        assert np.array_equal(shown.f, f) and np.array_equal(shown.f_prime, fp)
+        assert shown.max_abs_f() > 0.1
+
+
 def test_even_translation_keeps_residual():
     prof = muskat.profile_at(0.7)
     even = muskat.translate_even(prof, 1)

@@ -1,8 +1,15 @@
 """Table export: exact bytes and re-import."""
 
-import numpy as np
+import io
+import math
 
+import numpy as np
+import pytest
+
+import muskat
+from muskat import cli
 from muskat.export import read_table, write_table
+from oracles import write_csv_cellwise, write_json_indented
 
 MIXED = {
     "l": np.array([1, 2, 3]),
@@ -36,3 +43,73 @@ def test_csv_round_trip_at_full_precision(tmp_path):
     assert meta == {"schema_version": 1, "kind": "demo"}
     for name, values in MIXED.items():
         assert np.array_equal(cols[name], values.astype(float))
+
+
+# -- the writers give the bytes of the cell-by-cell reference writers --------
+
+WRITERS = {"csv": write_csv_cellwise, "json": write_json_indented}
+
+EDGE_FLOATS = [0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.5e10, 1.0 / 3.0]
+
+EDGE = {
+    "f64": np.array(EDGE_FLOATS),
+    "f32": np.array(EDGE_FLOATS, dtype=np.float32),
+    "int": np.arange(8) - 3,
+    "bool": np.arange(8) % 3 == 0,
+    "str": np.array(["a, b", 'say "hi"', "", "x", "-0.0", "nan", "1e5", "z"]),
+}
+EDGE_META = {"kind": "demo", "lambda": 0.5, "l": 2, "gap": math.nan, "note": 'a, "b"', "flag": True}
+EMPTY = {"x": np.array([]), "s": np.array([], dtype=str)}
+
+
+def _same_bytes(tmp_path, fmt, metadata, columns, precision=17):
+    path = tmp_path / f"table.{fmt}"
+    write_table(str(path), metadata, columns, fmt=fmt, precision=precision)
+    ref = io.StringIO()
+    WRITERS[fmt](ref, metadata, columns, precision)
+    assert path.read_bytes() == ref.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("columns", [EDGE, EMPTY, {"x": np.array(2.5)}], ids=["edge", "empty", "scalar"])
+def test_writer_bytes_of_mixed_tables(tmp_path, fmt, columns, precision):
+    _same_bytes(tmp_path, fmt, EDGE_META, columns, precision)
+    _same_bytes(tmp_path, fmt, {}, columns, precision)
+
+
+def test_json_bytes_of_ragged_and_empty_column_sets(tmp_path):
+    _same_bytes(tmp_path, "json", EDGE_META, {"x": np.array([1.5, 2.0]), "e": np.array([]), "l": [1, 2, 3]})
+    _same_bytes(tmp_path, "json", EDGE_META, {})
+
+
+def test_csv_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError, match="same length"):
+        write_table(str(tmp_path / "t.csv"), {}, {"x": np.array([1.0, 2.0]), "e": np.array([])})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--lambda", "0.5", "--l", "2", "--h", "5", "--parity", "even", "--sign", "minus"],
+        ["branch", "--h", "5", "--l", "2", "--n", "25"],
+        ["coexist", "--h", "0.5", "--l-max", "5"],
+    ],
+    ids=["profile", "branch", "coexist"],
+)
+def test_writer_bytes_of_cli_tables(tmp_path, monkeypatch, argv):
+    seen = []  # the (metadata, columns) the command hands to write_table
+    monkeypatch.setattr(cli, "write_table", lambda path, metadata, columns, **kw: seen.append((metadata, columns)))
+    assert cli.main(argv) == 0
+    (metadata, columns), = seen
+    for fmt in ("csv", "json"):
+        for precision in (6, 17):
+            _same_bytes(tmp_path, fmt, metadata, columns, precision)
+
+
+def test_writer_bytes_of_an_exported_profile(tmp_path):
+    prof = muskat.negate_profile(muskat.translate_even(muskat.scale_profile(muskat.profile_at(0.37), 3), 3))
+    columns = {"x": prof.x, "f": prof.f, "f_prime": prof.f_prime}
+    assert prof.x.size == 513
+    for fmt in ("csv", "json"):
+        _same_bytes(tmp_path, fmt, {"lambda": prof.lam, "alpha": prof.alpha, "parity": prof.parity}, columns)
