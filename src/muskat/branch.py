@@ -179,7 +179,7 @@ def _lambda_of_alpha(a: float) -> float:
     return min(float(2.0 * period_mod.theta(1.0, a) / math.pi) ** 2, 1.0)
 
 
-def _slope_root(g, tol: float) -> float:
+def _slope_root(g) -> float:
     """The slope a > 0 where g, positive at 0 and decreasing, changes sign.
 
     Doubles the bracket [0, hi] from hi = 1 up to ALPHA_MAX, then runs
@@ -191,10 +191,13 @@ def _slope_root(g, tol: float) -> float:
         if hi >= ALPHA_MAX:
             raise SaturationError(f"slope bracket exceeded ALPHA_MAX={ALPHA_MAX:g}")
         hi = min(2.0 * hi, ALPHA_MAX)
-    return float(brentq(g, 0.0, hi, xtol=tol))
+    # xtol = ulp(0) leaves the stop to Brent's rounding floor: the bracket
+    # closes to 4 eps |a| around the root, or ConvergenceError after 100
+    # iterations
+    return float(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
 
 
-def alpha_of_lambda(lam: float, tol: float = 1e-12) -> float:
+def alpha_of_lambda(lam: float) -> float:
     """The unique slope alpha >= 0 with theta(lam, alpha) = pi/2.
 
     Defined exactly on (lambda_star, 1]; alpha(1) = 0 and alpha diverges as
@@ -214,16 +217,16 @@ def alpha_of_lambda(lam: float, tol: float = 1e-12) -> float:
     if lam == 1.0 or period_mod.theta(lam, 0.0) - target <= 0.0:
         return 0.0
     try:
-        return _slope_root(lambda a: period_mod.theta(lam, a) - target, tol)
+        return _slope_root(lambda a: period_mod.theta(lam, a) - target)
     except SaturationError as exc:
         raise SaturationError(
             f"{exc} at lambda={lam:.12g} (too close to lambda_star={c.lambda_star:.12g})"
         ) from None
 
 
-def branch_amplitude(lam: float, tol: float = 1e-12) -> float:
+def branch_amplitude(lam: float) -> float:
     """Peak height of the branch profile at lam: max_amplitude(lam, alpha(lam))."""
-    return ivp.max_amplitude(lam, alpha_of_lambda(lam, tol))
+    return ivp.max_amplitude(lam, alpha_of_lambda(lam))
 
 
 @lru_cache(maxsize=1)
@@ -245,12 +248,12 @@ def lambda_floor() -> float:
     )
 
 
-def lambda_h(p: PhysicalParams, tol: float = 1e-12) -> Regime:
+def lambda_h(p: PhysicalParams) -> Regime:
     """Classify the branch endpoint for cell half-height p.h.
 
     h < h_star: the fingers touch the walls at the unique lambda_h in
     (lambda_star, 1) with branch amplitude h: one solve in the slope a of
-    max_amplitude(lambda_of_alpha(a), a) = h, to ``tol`` relative to h.
+    max_amplitude(lambda_of_alpha(a), a) = h, to rounding.
     lambda_h never falls below lambda_floor(), where it stays when h is
     within ~1e-8 of h_star and the slope would exceed ALPHA_MAX.
     h = h_star (within a relative band of 1e-9): lambda_h = lambda_star,
@@ -264,10 +267,9 @@ def lambda_h(p: PhysicalParams, tol: float = 1e-12) -> Regime:
         kind, lam_h = RegimeKind.SLOPE_BLOWUP, c.lambda_star
     else:
         kind = RegimeKind.TOUCHES_BOUNDARY
-        # a ~ h sqrt(lam) for small fingers, hence the tolerance tol * h
         excess = lambda a: p.h - ivp.max_amplitude(_lambda_of_alpha(a), a)
         try:
-            a = _slope_root(excess, tol * p.h)
+            a = _slope_root(excess)
         except SaturationError:  # the endpoint is beyond the slope cap
             a = ALPHA_MAX
         lam_h = max(_lambda_of_alpha(a), lambda_floor())
@@ -283,15 +285,15 @@ def _profile(lam: float, a: float, n_samples: int) -> SolutionProfile:
     return ivp.extend_odd_periodic(q, n_samples=n_samples)
 
 
-def profile_at(lam: float, n_samples: int = 513, root_tol: float = 1e-12) -> SolutionProfile:
+def profile_at(lam: float, n_samples: int = 513) -> SolutionProfile:
     """The odd minimal-period-2*pi profile at lam in (lambda_star, 1].
 
     Solves alpha(lam), takes the quarter arc in closed form (the Jacobi
     arc of ``elliptic.Arc``), and extends it by odd reflection; the period
-    4 (2E - K)/sqrt(lam) equals 2*pi to root-solve accuracy.  Propagates
+    4 (2E - K)/sqrt(lam) equals 2*pi to rounding.  Propagates
     OutOfRangeError / SaturationError from the slope solve.
     """
-    return _profile(lam, alpha_of_lambda(lam, root_tol), n_samples)
+    return _profile(lam, alpha_of_lambda(lam), n_samples)
 
 
 def _require_dense(s: SolutionProfile):
@@ -422,7 +424,6 @@ def trace_branch(
     p: PhysicalParams,
     l: int = 1,
     n_points: int = 50,
-    tol: float = 1e-12,
 ) -> Branch:
     """Trace the mode-l branch over its feasible window.
 
@@ -438,7 +439,7 @@ def trace_branch(
         raise DomainError(f"mode number must be >= 1, got {l}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    regime = lambda_h(replace(p, h=l * p.h), tol)
+    regime = lambda_h(replace(p, h=l * p.h))
     touches = regime.kind is RegimeKind.TOUCHES_BOUNDARY
     grid = _grid(regime.lambda_h, n_points, include_start=touches)
 
@@ -446,7 +447,7 @@ def trace_branch(
     for lam in grid:
         gamma_scaled = gamma_of_lambda(p, lam) / (l * l)
         try:
-            a = alpha_of_lambda(float(lam), tol)
+            a = alpha_of_lambda(float(lam))
             amp = ivp.max_amplitude(float(lam), a)
             pt = BranchPoint(
                 lam=float(lam) * l * l,
@@ -531,19 +532,18 @@ def _sine_coefficient(a: float, n_nodes: int = 64) -> float:
     return elliptic.Arc(_lambda_of_alpha(a), a).cosine_coefficient(n_nodes)
 
 
-def _lambda_for_coefficient(eps_base: float, root_tol: float) -> float:
+def _lambda_for_coefficient(eps_base: float) -> float:
     """Base lam whose odd 2*pi profile has first sine coefficient eps_base.
 
     One solve in the slope a of _sine_coefficient(a) = eps_base.
     """
-    return _lambda_of_alpha(_slope_root(lambda a: eps_base - _sine_coefficient(a), root_tol))
+    return _lambda_of_alpha(_slope_root(lambda a: eps_base - _sine_coefficient(a)))
 
 
 def expansion_check(
     p: PhysicalParams,
     l: int = 1,
     eps_list: tuple[float, ...] = (0.02, 0.04, 0.08),
-    root_tol: float = 1e-12,
 ) -> ExpansionFit:
     """Measure the quadratic coefficient of gamma along the mode-l branch.
 
@@ -576,7 +576,7 @@ def expansion_check(
     gammas = []
     ratios = []
     for eps in eps_sorted:
-        lam = _lambda_for_coefficient(l * eps, root_tol)
+        lam = _lambda_for_coefficient(l * eps)
         gam = gamma_of_lambda(p, lam) / (l * l)
         gammas.append(gam)
         ratios.append((gam - gb) / eps**2)

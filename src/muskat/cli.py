@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: constants, classify, branch, profile, pendulum, coexist,
-expansion-check.  Exit codes: 0 success, 1 numerical failure (saturation,
-singularity, integration, non-convergence), 2 invalid input.  Flag values
-override config file values, which override built-in defaults.
+expansion-check.  Every subcommand shares the flags --g, --rho-plus,
+--rho-minus, --h, --config, --out and --format; none sets a solver
+tolerance, since every slope solve runs to rounding.  Exit codes: 0
+success, 1 numerical failure (saturation, singularity, integration,
+non-convergence), 2 invalid input.  Flag values override config file
+values, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -52,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
         sp.add_argument("--rho-minus", type=float, default=None, help="density of the lower fluid")
         sp.add_argument("--h", type=float, default=None, help="cell half-height")
-        sp.add_argument("--tol", type=float, default=None, help="root-solve tolerance (slope solves)")
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
         sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
@@ -112,8 +114,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         format=args.format,
         out=args.out,
     )
-    if args.tol is not None:
-        overrides.update(root_tol=args.tol)
     n = getattr(args, "n", None)
     if n is not None:
         overrides.update(n_points=n, n_samples=n)
@@ -133,7 +133,7 @@ def _emit_text(cfg: RunConfig, lines: list[str]) -> None:
 
 def _regime_lines(cfg: RunConfig) -> list[str]:
     p = cfg.physical()
-    reg = branch_mod.lambda_h(p, cfg.root_tol)
+    reg = branch_mod.lambda_h(p)
     fmt = lambda v: format_float(v, cfg.precision)
     return [
         f"cell half-height h = {p.h:g}: regime ({reg.kind.roman}) {reg.kind.value}",
@@ -164,7 +164,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 
 def cmd_branch(cfg: RunConfig, args) -> None:
     p = cfg.physical()
-    br = branch_mod.trace_branch(p, l=args.l, n_points=cfg.n_points, tol=cfg.root_tol)
+    br = branch_mod.trace_branch(p, l=args.l, n_points=cfg.n_points)
     n_trunc = sum(pt.truncated for pt in br.points)
     if n_trunc:
         _warn(f"{n_trunc} branch point(s) near lambda_star saturated the slope cap and carry NaN data")
@@ -208,7 +208,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     lam = _base_lambda(cfg, args, l)
-    window = branch_mod.lambda_h(replace(p, h=l * p.h), cfg.root_tol)
+    window = branch_mod.lambda_h(replace(p, h=l * p.h))
     if not window.lambda_h < lam <= 1.0:
         raise OutOfRangeError(
             lam,
@@ -216,7 +216,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
             f"lambda={lam:.9g} outside feasible window ({window.lambda_h:.9g}, 1] "
             f"for l={l}, h={p.h:g}",
         )
-    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol)
+    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples)
     prof = branch_mod.scale_profile(prof, l)
     if args.parity == "even":
         prof = branch_mod.translate_even(prof, l)
@@ -244,10 +244,10 @@ def cmd_profile(cfg: RunConfig, args) -> None:
 def cmd_pendulum(cfg: RunConfig, args) -> None:
     p = cfg.physical()
     lam = _base_lambda(cfg, args, 1)
-    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples, root_tol=cfg.root_tol)
+    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples)
     even = branch_mod.translate_even(prof, 1)
     traj = pendulum_mod.to_pendulum(even, n_samples=cfg.n_samples)
-    L_formula = pendulum_mod.pendulum_period(lam, root_tol=cfg.root_tol)
+    L_formula = pendulum_mod.pendulum_period(lam)
     metadata = {
         "kind": "pendulum",
         "lambda": lam,
@@ -286,7 +286,7 @@ def cmd_expansion_check(cfg: RunConfig, args) -> None:
         eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"--eps must be a comma-separated float list, got {args.eps!r}") from exc
-    fit = branch_mod.expansion_check(p, l=args.l, eps_list=eps_list, root_tol=cfg.root_tol)
+    fit = branch_mod.expansion_check(p, l=args.l, eps_list=eps_list)
     metadata = {
         "kind": "expansion-check",
         "l": fit.l,

@@ -1,4 +1,9 @@
-"""Run configuration: physical data, numeric tolerances, output options.
+"""Run configuration: physical data, grid sizes, output options.
+
+Nine keys: ``grav``, ``rho_plus``, ``rho_minus`` and ``h`` (numbers),
+``n_points``, ``n_samples`` and ``precision`` (integers), ``format``
+(``"csv"`` or ``"json"``) and ``out`` (a path, or None for stdout).  No
+key sets a solver tolerance: every slope solve runs to rounding.
 
 Precedence when assembling a config is built-in defaults, then a JSON
 config file, then explicit CLI flags.  Defaults use g * (rho_plus -
@@ -17,6 +22,21 @@ from .errors import ConfigError, DomainError
 
 __all__ = ["RunConfig"]
 
+#: accepted types and their description per key; bool is an int but is refused
+_NUMBER = ((int, float), "a number")
+_INTEGER = (int, "an integer")
+_TYPES = {
+    "grav": _NUMBER,
+    "rho_plus": _NUMBER,
+    "rho_minus": _NUMBER,
+    "h": _NUMBER,
+    "n_points": _INTEGER,
+    "n_samples": _INTEGER,
+    "format": (str, "a string"),
+    "out": ((str, type(None)), "a string or null"),
+    "precision": _INTEGER,
+}
+
 
 @dataclass
 class RunConfig:
@@ -24,7 +44,6 @@ class RunConfig:
     rho_plus: float = 1.0
     rho_minus: float = 0.0
     h: float = 2.0
-    root_tol: float = 1e-12
     n_points: int = 50
     n_samples: int = 513
     format: str = "csv"
@@ -32,8 +51,11 @@ class RunConfig:
     precision: int = 17
 
     def validate(self) -> None:
-        if self.root_tol <= 0.0:
-            raise ConfigError(f"root_tol must be positive, got {self.root_tol}")
+        for field in dataclasses.fields(self):
+            types, kind = _TYPES[field.name]
+            value = getattr(self, field.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ConfigError(f"{field.name} must be {kind}, got {value!r}")
         for name in ("n_points", "n_samples"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")

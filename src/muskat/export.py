@@ -4,7 +4,8 @@ CSV files carry '#'-prefixed key=value metadata lines, then a column-name
 row, then data rows in full-precision scientific notation (LF line
 endings, '.' decimal point, ',' separator).  JSON files nest metadata and
 samples under a schema_version field, laid out as json.dump(..., indent=1)
-lays them out.  Columns are one-dimensional.  Identical inputs produce
+lays them out.  Columns are one-dimensional, at least one per table, all
+of one length.  Identical inputs produce
 byte-identical files: no timestamps, fixed key order, fixed float
 formatting.
 """
@@ -36,10 +37,6 @@ def _write_csv(fh: IO[str], metadata, columns, precision):
     names = list(columns)
     fh.write(",".join(names) + "\n")
     arrays = [np.atleast_1d(np.asarray(columns[name])) for name in names]
-    n_rows = arrays[0].size
-    for arr in arrays:
-        if arr.size != n_rows:
-            raise ValueError("all columns must have the same length")
     # float or plain formatting is decided once per column, not per cell;
     # "%.{p-1}e" and "%s" give the bytes of format_float and str
     floats = [np.issubdtype(arr.dtype, np.floating) for arr in arrays]
@@ -66,7 +63,7 @@ def _write_json(fh: IO[str], metadata, columns, precision):
         for name, col in columns.items()
     )
     # the header's closing "\n}" makes way for the samples object
-    fh.write(header[:-2] + ',\n "samples": ' + (f"{{\n{samples}\n }}" if samples else "{}") + "\n}\n")
+    fh.write(header[:-2] + f',\n "samples": {{\n{samples}\n }}\n}}\n')
 
 
 def write_table(
@@ -76,7 +73,16 @@ def write_table(
     fmt: str = "csv",
     precision: int = 17,
 ) -> None:
-    """Write a metadata + columns table to ``path`` (stdout when None)."""
+    """Write a metadata + columns table to ``path`` (stdout when None).
+
+    Raises ValueError, before any file is opened, for a table without
+    columns or with columns of different lengths.
+    """
+    lengths = {np.size(col) for col in columns.values()}
+    if not lengths:
+        raise ValueError("a table needs at least one column")
+    if len(lengths) > 1:
+        raise ValueError(f"all columns must have the same length, got lengths {sorted(lengths)}")
     writer = _write_csv if fmt == "csv" else _write_json
     if path is None:
         writer(sys.stdout, metadata, columns, precision)

@@ -20,7 +20,7 @@ a function of the slope alone, strictly decreasing in lam from
 4 K(1/2)^2 = 4/lambda_star at the blow-up end to 2 pi at lam = 1.
 ``pendulum_period`` evaluates this branch form at the solved slope
 alpha(lam); ``to_pendulum`` reports 4 K/sqrt(lam) at the given lam, so the
-two agree to the accuracy of the slope solve.
+two agree to the rounding of the slope solve.
 """
 
 from __future__ import annotations
@@ -170,17 +170,17 @@ def _swing_period(a: float) -> float:
     return 2.0 * math.pi / complete_integrals(a)[2]
 
 
-def pendulum_period(lam: float, root_tol: float = 1e-12) -> float:
+def pendulum_period(lam: float) -> float:
     """Swing period of the pendulum matched to the branch profile at lam.
 
     Evaluates L = 2 pi K(m)/(2 E(m) - K(m)) at the slope alpha(lam), solved
-    to ``root_tol``.  Equals 2*pi at lam = 1 and is strictly decreasing in
+    to rounding.  Equals 2*pi at lam = 1 and is strictly decreasing in
     lam.  Raises OutOfRangeError outside (lambda_star, 1].
     """
-    return _swing_period(branch_mod.alpha_of_lambda(lam, root_tol))
+    return _swing_period(branch_mod.alpha_of_lambda(lam))
 
 
-def lambda_of_period(L: float, tol: float = 1e-12) -> float:
+def lambda_of_period(L: float) -> float:
     """Branch parameter whose swing period is L (inverse of pendulum_period).
 
     Among all pendulum swings, those corresponding to steady profiles of
@@ -188,7 +188,7 @@ def lambda_of_period(L: float, tol: float = 1e-12) -> float:
     (lambda_star, 1] with L(lam) decreasing from 4/lambda_star down to
     2*pi.  Along the branch L = 2 pi K/(2 E - K) and lam =
     lambda_of_alpha(a) are both explicit in the slope a, so this is one
-    root solve in a, to ``tol``; periods the slope cap cannot separate from
+    root solve in a, to rounding; periods the slope cap cannot separate from
     that of ``lambda_floor()`` return the floor.  Raises OutOfRangeError
     below 2*pi and beyond the swing period of ``lambda_floor()``.
     """
@@ -199,7 +199,7 @@ def lambda_of_period(L: float, tol: float = 1e-12) -> float:
         return 1.0
     floor = branch_mod.lambda_floor()
     try:
-        a = branch_mod._slope_root(lambda a: L - _swing_period(a), tol)
+        a = branch_mod._slope_root(lambda a: L - _swing_period(a))
     except SaturationError:
         # L is flat in a to rounding at the cap, so the floor's own period
         # can equal L(ALPHA_MAX) and leave the bracket without a sign change

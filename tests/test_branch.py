@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import muskat
@@ -19,6 +19,7 @@ from muskat import (
     SaturationError,
 )
 from muskat import branch as branch_mod
+from muskat import pendulum as pendulum_mod
 
 P_UNIT = PhysicalParams(grav=1.0, rho_plus=1.0, rho_minus=0.0, h=2.0)
 
@@ -84,6 +85,65 @@ def test_alpha_strictly_decreasing():
     grid = np.linspace(0.35, 1.0, 30)
     alphas = [muskat.alpha_of_lambda(float(lam)) for lam in grid]
     assert all(a > b for a, b in zip(alphas, alphas[1:]))
+
+
+# a gap log-uniform over lambda_star + [1e-8, 0.7] or 1 - [1e-8, 1e-2], with its side
+_GAPS = st.one_of(
+    st.tuples(st.just("star"), st.floats(-8.0, math.log10(0.7))),
+    st.tuples(st.just("one"), st.floats(-8.0, -2.0)),
+)
+
+
+def _lambda_at(side, log_gap):
+    return muskat.constants().lambda_star + 10.0**log_gap if side == "star" else 1.0 - 10.0**log_gap
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=_GAPS, second=_GAPS)
+def test_alpha_strictly_decreasing_property(first, second):
+    # gaps closer than a relative 1e-6 hit the conditioning limit ulp(lam)/gap
+    (side1, u1), (side2, u2) = first, second
+    assume(side1 != side2 or abs(u1 - u2) >= 1e-6 / math.log(10.0))
+    lam1, lam2 = sorted((_lambda_at(side1, u1), _lambda_at(side2, u2)))
+    assert muskat.alpha_of_lambda(lam1) > muskat.alpha_of_lambda(lam2)
+
+
+def _mpmath_lambda_of_alpha(alpha):
+    """lambda(alpha) = (2 (2E - K)/pi)^2 with m = (1 - 1/sqrt(1 + alpha^2))/2, at 40 digits."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        m = (1 - 1 / mpmath.sqrt(1 + a * a)) / 2
+        return (2 * (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.pi) ** 2
+
+
+def test_alpha_of_lambda_at_the_rounding_floor():
+    # the slope solve runs to rounding: the exact lambda of the returned
+    # slope is lam to 1e-14 relative, near lambda_star and near 1 alike
+    c = muskat.constants()
+    lams = [c.lambda_star + g for g in np.logspace(-8.0, math.log10(0.7), 40)]
+    lams += [1.0 - d for d in np.logspace(-14.0, -2.0, 25)]
+    for lam in map(float, lams):
+        exact = _mpmath_lambda_of_alpha(muskat.alpha_of_lambda(lam))
+        assert abs(float(exact / mpmath.mpf(lam) - 1)) <= 1e-14, lam
+
+
+def test_slope_solves_converge_at_the_window_edges():
+    # inputs at the edges of each solve's range return without ConvergenceError
+    c = muskat.constants()
+    lam = 1.0
+    for _ in range(40):
+        lam = math.nextafter(lam, 0.0)
+    assert 0.0 < muskat.alpha_of_lambda(lam) < 1e-6
+    L = 2.0 * math.pi
+    for _ in range(5):
+        L = math.nextafter(L, math.inf)
+    assert 1.0 - 1e-14 < pendulum_mod.lambda_of_period(L) <= 1.0
+    reg = muskat.lambda_h(PhysicalParams(h=1e-8 * c.h_star))
+    assert reg.kind is RegimeKind.TOUCHES_BOUNDARY
+    assert 1.0 - 1e-14 < reg.lambda_h < 1.0
+    floor = muskat.lambda_floor()
+    assert c.lambda_star < floor < c.lambda_star + 1e-8
+    assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
 
 
 def test_branch_amplitude_monotone_with_limit():

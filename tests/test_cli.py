@@ -1,17 +1,24 @@
 """End-to-end CLI behaviour: formats, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import muskat
-from muskat.cli import _resolve_config, build_parser, main
+from muskat.cli import build_parser, main
+from muskat.config import RunConfig
 from muskat.export import read_table
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(args):
@@ -226,8 +233,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_invalid_tolerance_rejected(capsys):
-    assert run(["classify", "--tol", "0"]) == 2
-    assert "tol" in capsys.readouterr().err
+    # no flag sets a solver tolerance: --tol is an argparse error
+    with pytest.raises(SystemExit) as exc:
+        run(["classify", "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_config_validation_names_fields(tmp_path, capsys):
@@ -235,33 +245,61 @@ def test_config_validation_names_fields(tmp_path, capsys):
         ({"precision": 3}, "precision"),
         ({"n_points": 1}, "n_points"),
         ({"format": "xml"}, "format"),
+        # values of the wrong JSON type
+        ({"h": "5"}, "h must be a number"),
+        ({"grav": True}, "grav must be a number"),
+        ({"precision": "17"}, "precision must be an integer"),
+        ({"precision": 17.0}, "precision must be an integer"),
+        ({"n_samples": "9"}, "n_samples must be an integer"),
+        ({"n_points": 7.5}, "n_points must be an integer"),
+        ({"n_points": True}, "n_points must be an integer"),
+        ({"format": 1}, "format must be a string"),
+        ({"out": 3}, "out must be a string or null"),
     ]:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
         assert run(["classify", "--config", str(cfg)]) == 2
         assert field in capsys.readouterr().err
+    # an int where a float is expected is a number
+    cfg.write_text(json.dumps({"h": 5, "rho_minus": 0}))
+    assert run(["classify", "--config", str(cfg)]) == 0
+    assert "SLOPE_BLOWUP" in capsys.readouterr().out
 
 
-def test_tol_sets_the_root_tolerance(tmp_path, capsys):
-    cfg = _resolve_config(build_parser().parse_args(["classify", "--tol", "1e-11"]))
-    assert cfg.root_tol == 1e-11
+def test_readme_names_the_shared_flags_and_config_keys():
+    # the "Common flags" paragraph against the parser, and its RunConfig key
+    # list against the dataclass: a knob dropped on one side only fails here
+    text = README.read_text(encoding="utf-8")
+    paragraph = re.search(r"^Common flags.*?(?=\n\n)", text, re.S | re.M).group(0)
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    per_command = [
+        {opt for action in sp._actions for opt in action.option_strings} - {"-h", "--help"}
+        for sp in subparsers.choices.values()
+    ]
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == set.intersection(*per_command)
+    keys = re.search(r"`RunConfig` keys (.*?); any other key", paragraph, re.S).group(1)
+    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(RunConfig)]
+
+
+def test_retired_knobs_are_unknown_keys(tmp_path, capsys):
     # profiles come from the closed-form arc (no ODE tolerance), the slope
-    # cap is a library constant and no quadrature runs in production: all
-    # three are unknown keys now
-    for key, value in (("ode_tol", 1e-10), ("alpha_max", 1e8), ("quad_tol", 1e-12)):
+    # cap is a library constant, no quadrature runs in production and every
+    # slope solve runs to rounding: all four are unknown keys now
+    for key, value in (("ode_tol", 1e-10), ("alpha_max", 1e8), ("quad_tol", 1e-12), ("root_tol", 1e-12)):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: value}))
         assert run(["classify", "--config", str(cfg)]) == 2
         assert f"unknown configuration key '{key}'" in capsys.readouterr().err
 
 
-def test_pendulum_with_a_tolerance_below_rounding(tmp_path):
-    # a root tolerance below the rounding of lambda must not fail the swing period
-    lam = float(np.linspace(0.3, 0.99, 50)[26])
+def test_pendulum_swing_periods_agree_to_rounding(tmp_path):
+    # the slope is solved to rounding, so at default settings the branch-form
+    # and arc-length swing periods agree to rounding, 1e-6 above lambda_star too
     out = tmp_path / "swing.csv"
-    assert run(["pendulum", "--lambda", repr(lam), "--tol", "1e-17", "--out", str(out)]) == 0
-    meta, _ = read_table(str(out))
-    assert float(meta["L_abs_diff"]) <= 1e-14
+    for lam in (float(np.linspace(0.3, 0.99, 50)[26]), 0.9, muskat.constants().lambda_star + 1e-6):
+        assert run(["pendulum", "--lambda", repr(lam), "--out", str(out)]) == 0
+        meta, _ = read_table(str(out))
+        assert float(meta["L_abs_diff"]) <= 1e-14, lam
 
 
 def test_expansion_check_out_of_window_is_bad_input(tmp_path, capsys):

@@ -78,14 +78,23 @@ def test_writer_bytes_of_mixed_tables(tmp_path, fmt, columns, precision):
     _same_bytes(tmp_path, fmt, {}, columns, precision)
 
 
-def test_json_bytes_of_ragged_and_empty_column_sets(tmp_path):
-    _same_bytes(tmp_path, "json", EDGE_META, {"x": np.array([1.5, 2.0]), "e": np.array([]), "l": [1, 2, 3]})
-    _same_bytes(tmp_path, "json", EDGE_META, {})
+def test_writers_reject_empty_and_ragged_tables(tmp_path):
+    # the columns are checked before the file is opened, in both formats
+    ragged = {"x": np.array([1.5, 2.0]), "e": np.array([]), "l": [1, 2, 3]}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match="at least one column"):
+            write_table(str(path), EDGE_META, {}, fmt=fmt)
+        with pytest.raises(ValueError, match=r"same length, got lengths \[0, 2, 3\]"):
+            write_table(str(path), EDGE_META, ragged, fmt=fmt)
+        assert not path.exists()
 
 
 def test_csv_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="same length"):
-        write_table(str(tmp_path / "t.csv"), {}, {"x": np.array([1.0, 2.0]), "e": np.array([])})
+        write_table(str(path), {}, {"x": np.array([1.0, 2.0]), "e": np.array([])})
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
