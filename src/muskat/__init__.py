@@ -4,71 +4,66 @@ Computes the global bifurcation branches of steady two-phase interfaces
 (heavier fluid on top), classifies their blow-up behaviour against the
 cell-height threshold h_star, and realises the exact correspondence with
 periodic pendulum swings.
+
+The package imports lazily (PEP 562): ``import muskat`` loads no
+submodule, and each public name loads its defining module on first use,
+so the scalar layers (``special``, ``agm``, ``period``, ``curve``) run
+without numpy.
 """
 
-from .branch import (
-    Branch,
-    BranchPoint,
-    ExpansionFit,
-    PhysicalParams,
-    Regime,
-    RegimeKind,
-    alpha_of_lambda,
-    branch_amplitude,
-    coexistence_levels,
-    expansion_check,
-    fourier_sine_coefficient,
-    gamma_bar,
-    gamma_of_lambda,
-    lambda_floor,
-    lambda_h,
-    lambda_of_gamma,
-    negate_profile,
-    profile_at,
-    residual,
-    scale_profile,
-    trace_branch,
-    translate_even,
-)
-from .config import RunConfig
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EventNotFoundError,
-    IntegrationError,
-    MuskatError,
-    OutOfRangeError,
-    ParityError,
-    SaturationError,
-    SingularityError,
-)
-from .ivp import (
-    QuarterProfile,
-    SolutionProfile,
-    State,
-    energy,
-    extend_odd_periodic,
-    integrate,
-    max_amplitude,
-    quarter_period,
-    solve_quarter,
-    zero_profile,
-)
-from .pendulum import (
-    PendulumTrajectory,
-    from_pendulum,
-    lambda_of_period,
-    pendulum_period,
-    to_pendulum,
-)
-from .period import (
-    beta_of_alpha,
-    dtheta_dalpha,
-    theta,
-    theta_limit_infinity,
-    theta_limit_zero,
-)
-from .special import Constants, beta, constants, log_gamma
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset(
+    ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "export", "ivp", "pendulum", "period",
+     "quadrature", "roots", "special")
+)
+
+#: public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(
+        ("Branch", "BranchPoint", "PhysicalParams", "Regime", "RegimeKind", "alpha_of_lambda", "branch_amplitude",
+         "coexistence_levels", "gamma_bar", "gamma_of_lambda", "lambda_floor", "lambda_h", "lambda_of_gamma",
+         "max_amplitude", "trace_branch"),
+        "curve",
+    ),
+    **dict.fromkeys(
+        ("ExpansionFit", "expansion_check", "fourier_sine_coefficient", "negate_profile", "profile_at", "residual",
+         "scale_profile", "translate_even"),
+        "branch",
+    ),
+    "RunConfig": "config",
+    **dict.fromkeys(
+        ("ConfigError", "ConvergenceError", "DomainError", "EventNotFoundError", "IntegrationError", "MuskatError",
+         "OutOfRangeError", "ParityError", "SaturationError", "SingularityError"),
+        "errors",
+    ),
+    **dict.fromkeys(
+        ("QuarterProfile", "SolutionProfile", "State", "energy", "extend_odd_periodic", "integrate",
+         "quarter_period", "solve_quarter", "zero_profile"),
+        "ivp",
+    ),
+    **dict.fromkeys(
+        ("PendulumTrajectory", "from_pendulum", "lambda_of_period", "pendulum_period", "to_pendulum"), "pendulum"
+    ),
+    "beta_of_alpha": "agm",
+    **dict.fromkeys(("dtheta_dalpha", "theta", "theta_limit_infinity", "theta_limit_zero"), "period"),
+    **dict.fromkeys(("Constants", "beta", "constants", "log_gamma"), "special"),
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -16,10 +16,7 @@ import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import branch as branch_mod
-from . import pendulum as pendulum_mod
+from . import curve
 from .config import RunConfig
 from .errors import (
     ConfigError,
@@ -133,7 +130,7 @@ def _emit_text(cfg: RunConfig, lines: list[str]) -> None:
 
 def _regime_lines(cfg: RunConfig) -> list[str]:
     p = cfg.physical()
-    reg = branch_mod.lambda_h(p)
+    reg = curve.lambda_h(p)
     fmt = lambda v: format_float(v, cfg.precision)
     return [
         f"cell half-height h = {p.h:g}: regime ({reg.kind.roman}) {reg.kind.value}",
@@ -153,7 +150,7 @@ def cmd_constants(cfg: RunConfig, args) -> None:
         "bifurcation points gamma_bar_l = g (rho_plus - rho_minus) / l^2:",
     ]
     for l in range(1, max(1, args.l) + 1):
-        lines.append(f"  l={l}: {fmt(branch_mod.gamma_bar(p, l))}")
+        lines.append(f"  l={l}: {fmt(curve.gamma_bar(p, l))}")
     lines.extend(_regime_lines(cfg))
     _emit_text(cfg, lines)
 
@@ -164,7 +161,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 
 def cmd_branch(cfg: RunConfig, args) -> None:
     p = cfg.physical()
-    br = branch_mod.trace_branch(p, l=args.l, n_points=cfg.n_points)
+    br = curve.trace_branch(p, l=args.l, n_points=cfg.n_points)
     n_trunc = sum(pt.truncated for pt in br.points)
     if n_trunc:
         _warn(f"{n_trunc} branch point(s) near lambda_star saturated the slope cap and carry NaN data")
@@ -182,14 +179,18 @@ def cmd_branch(cfg: RunConfig, args) -> None:
         "n_truncated": n_trunc,
         "units": "lambda,alpha,max_slope:dimensionless gamma:force/length amplitude:length quarter_period:radian",
     }
+
+    def column(attr: str) -> list[float]:
+        return [float(getattr(pt, attr)) for pt in br.points]
+
     columns = {
-        "lambda": br.column("lam"),
-        "gamma": br.column("gamma"),
-        "alpha": br.column("alpha"),
-        "amplitude": br.column("amplitude"),
-        "max_slope": br.column("alpha"),
-        "quarter_period": br.column("quarter_period"),
-        "truncated": np.array([int(pt.truncated) for pt in br.points]),
+        "lambda": column("lam"),
+        "gamma": column("gamma"),
+        "alpha": column("alpha"),
+        "amplitude": column("amplitude"),
+        "max_slope": column("alpha"),
+        "quarter_period": column("quarter_period"),
+        "truncated": [int(pt.truncated) for pt in br.points],
     }
     write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
 
@@ -199,16 +200,20 @@ def _base_lambda(cfg: RunConfig, args, l: int) -> float:
     if getattr(args, "lam", None) is not None:
         return args.lam
     # scaled gamma -> base lambda: gamma_scaled = weight / (lam * l^2)
-    return branch_mod.lambda_of_gamma(p, args.gamma * l * l)
+    return curve.lambda_of_gamma(p, args.gamma * l * l)
 
 
 def cmd_profile(cfg: RunConfig, args) -> None:
+    import numpy as np
+
+    from . import branch as branch_mod
+
     p = cfg.physical()
     l = args.l
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     lam = _base_lambda(cfg, args, l)
-    window = branch_mod.lambda_h(replace(p, h=l * p.h))
+    window = curve.lambda_h(replace(p, h=l * p.h))
     if not window.lambda_h < lam <= 1.0:
         raise OutOfRangeError(
             lam,
@@ -228,7 +233,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     metadata = {
         "kind": "profile",
         "lambda": prof.lam,
-        "gamma": branch_mod.gamma_of_lambda(p, lam) / (l * l),
+        "gamma": curve.gamma_of_lambda(p, lam) / (l * l),
         "l": l,
         "alpha": prof.alpha,
         "period": prof.period,
@@ -242,6 +247,9 @@ def cmd_profile(cfg: RunConfig, args) -> None:
 
 
 def cmd_pendulum(cfg: RunConfig, args) -> None:
+    from . import branch as branch_mod
+    from . import pendulum as pendulum_mod
+
     p = cfg.physical()
     lam = _base_lambda(cfg, args, 1)
     prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples)
@@ -264,7 +272,7 @@ def cmd_pendulum(cfg: RunConfig, args) -> None:
 
 def cmd_coexist(cfg: RunConfig, args) -> None:
     p = cfg.physical()
-    levels = branch_mod.coexistence_levels(p, args.l_max)
+    levels = curve.coexistence_levels(p, args.l_max)
     metadata = {
         "kind": "coexist",
         "l_max": args.l_max,
@@ -273,14 +281,16 @@ def cmd_coexist(cfg: RunConfig, args) -> None:
         "n_levels": len(levels),
     }
     columns = {
-        "l": np.array([l for l, _ in levels], dtype=int),
-        "gamma_low": np.array([w[0] for _, w in levels], dtype=float),
-        "gamma_high": np.array([w[1] for _, w in levels], dtype=float),
+        "l": [l for l, _ in levels],
+        "gamma_low": [float(w[0]) for _, w in levels],
+        "gamma_high": [float(w[1]) for _, w in levels],
     }
     write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
 
 
 def cmd_expansion_check(cfg: RunConfig, args) -> None:
+    from . import branch as branch_mod
+
     p = cfg.physical()
     try:
         eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok.strip())
@@ -290,16 +300,12 @@ def cmd_expansion_check(cfg: RunConfig, args) -> None:
     metadata = {
         "kind": "expansion-check",
         "l": fit.l,
-        "gamma_bar": branch_mod.gamma_bar(p, fit.l),
+        "gamma_bar": curve.gamma_bar(p, fit.l),
         "fitted_coefficient": fit.coefficient,
         "expected_coefficient": fit.expected,
         "relative_deviation": abs(fit.coefficient - fit.expected) / fit.expected,
     }
-    columns = {
-        "eps": np.array(fit.eps),
-        "gamma": np.array(fit.gammas),
-        "ratio": np.array(fit.ratios),
-    }
+    columns = {"eps": fit.eps, "gamma": fit.gammas, "ratio": fit.ratios}
     write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
 
 

@@ -17,7 +17,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from .branch import PhysicalParams
+from .curve import PhysicalParams
 from .errors import ConfigError, DomainError
 
 __all__ = ["RunConfig"]

@@ -24,21 +24,15 @@ b.  Z is summed from its nome series
 
 so twelve terms reach 1e-17.
 
-The kernel is numpy and the math module only.  K and E come from the
-arithmetic-geometric mean of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
-and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6); ``ellipkm1`` gives the
-nome's K(1 - m) the same way.  The Jacobi functions run the same AGM and
-then the descending Landen recurrence
+K and E come from the arithmetic-geometric mean of ``agm``, which
+imports only ``math``.  The Jacobi functions run the same AGM and then the
+descending Landen recurrence
 phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
 down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
 cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
-where the textbook cn / cos(phi_1 - phi_0) does not.  The AGM takes
-c_(n+1) = c_n^2 / (4 a_(n+1)), which equals (a_n - b_n)/2 without its
-cancellation, so c falls monotonically to zero and the loop ends once it is
-below the rounding of a (five steps for m <= 1/2).  ``complete_integrals``
-and ``Arc`` feed the AGM sqrt((1 + b)/2) and sqrt((1 - b)/2) directly, with
-1 - b from ``one_minus_beta``, and ``Arc`` reuses its rows for the Landen
-recurrence, so its K, E and Jacobi functions come from one AGM.
+where the textbook cn / cos(phi_1 - phi_0) does not.  ``Arc`` reuses the
+AGM rows of ``agm._arc_agm`` for the Landen recurrence, so its K, E and
+Jacobi functions come from one AGM.
 """
 
 from __future__ import annotations
@@ -48,6 +42,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .agm import (  # noqa: F401  (the kernel, re-exported)
+    _agm, _arc_agm, _complete, beta_of_alpha, complete_integrals, ellipkm1, one_minus_beta,
+)
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["Arc", "beta_of_alpha", "complete_integrals", "one_minus_beta"]
@@ -55,76 +52,6 @@ __all__ = ["Arc", "beta_of_alpha", "complete_integrals", "one_minus_beta"]
 ZETA_TERMS = 12
 TABLE_NODES = 129
 MAX_NEWTON = 64
-
-_EPS = np.finfo(float).eps
-
-
-def beta_of_alpha(alpha: float) -> float:
-    """Evaluate 1/sqrt(1 + alpha^2) in a form stable for huge alpha."""
-    if alpha <= 1.0:
-        return 1.0 / math.sqrt(1.0 + alpha * alpha)
-    inv = 1.0 / alpha
-    return inv / math.sqrt(1.0 + inv * inv)
-
-
-def one_minus_beta(alpha: float) -> float:
-    """Evaluate 1 - beta(alpha) without cancellation for small alpha."""
-    if alpha < 1.0:
-        s = math.sqrt(1.0 + alpha * alpha)
-        return alpha * alpha / (s * (s + 1.0))
-    return 1.0 - beta_of_alpha(alpha)
-
-
-def _agm(b: float, c: float) -> tuple[list[float], list[float]]:
-    """The AGM rows (a_n, c_n) from a_0 = 1, b_0 = b, c_0 = c = sqrt(1 - b^2).
-
-    Needs b > 0, so that c_n / a_n falls to zero (quadratically once b_n
-    is within a factor of a_n).
-    """
-    a_s, c_s = [1.0], [c]
-    while c_s[-1] > _EPS * a_s[-1]:
-        a = a_s[-1]
-        a_s.append(0.5 * (a + b))
-        b = math.sqrt(a * b)
-        c_s.append(c_s[-1] ** 2 / (4.0 * a_s[-1]))
-    return a_s, c_s
-
-
-def _complete(a_s: list[float], c_s: list[float], m: float) -> tuple[float, float, float]:
-    """K, S = 1 - E/K and Q = 1 - 2 S = (2 E - K)/K from the AGM rows of m.
-
-    With t_n = 2^n c_n^2, 2 S = m + sum_(n>=1) t_n (DLMF 19.8.6).  S and Q
-    are each one fsum of the exact m and the t_n, so K - E = K S keeps its
-    digits as m -> 0 and 2 E - K = K Q keeps them at m = 1/2.
-    """
-    k = math.pi / (2.0 * a_s[-1])
-    t = [2.0**n * c * c for n, c in enumerate(c_s[1:], 1)]
-    return k, 0.5 * math.fsum([m, *t]), math.fsum([1.0, -m, *(-x for x in t)])
-
-
-def _arc_agm(alpha: float) -> tuple[list[float], list[float], float]:
-    """The AGM rows of m = (1 - b)/2, b = beta_of_alpha(alpha), and m.
-
-    Starts from sqrt(1 - m) = sqrt((1 + b)/2) and sqrt(m) = sqrt((1 - b)/2)
-    with 1 - b from ``one_minus_beta``, so m is never formed from b by a
-    rounded subtraction.
-    """
-    b = beta_of_alpha(alpha)
-    m = 0.5 * one_minus_beta(alpha)
-    a_s, c_s = _agm(math.sqrt(0.5 * (1.0 + b)), math.sqrt(m))
-    return a_s, c_s, m
-
-
-def complete_integrals(alpha: float) -> tuple[float, float, float]:
-    """K(m), S = 1 - E(m)/K(m) and Q = (2 E(m) - K(m))/K(m) at m = (1 - b)/2, from one AGM."""
-    return _complete(*_arc_agm(alpha))
-
-
-def ellipkm1(m: float) -> float:
-    """K(1 - m), 0 <= m < 1; infinite at m = 0."""
-    if m == 0.0:
-        return math.inf
-    return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
 
 
 def _landen(u, m: float, a_s: list[float], c_s: list[float]):

@@ -7,7 +7,7 @@ samples under a schema_version field, laid out as json.dump(..., indent=1)
 lays them out.  Columns are one-dimensional, at least one per table, all
 of one length.  Identical inputs produce
 byte-identical files: no timestamps, fixed key order, fixed float
-formatting.
+formatting.  Writing needs no numpy; ``read_table`` returns numpy arrays.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import json
 import sys
 from typing import IO, Mapping, Sequence
-
-import numpy as np
 
 __all__ = ["format_float", "read_table", "write_table"]
 
@@ -28,21 +26,33 @@ def format_float(value: float, precision: int = 17) -> str:
     return f"{value:.{precision - 1}e}"
 
 
+def _column(col) -> tuple[list, bool]:
+    """A column as a flat list, and whether its cells are formatted as floats.
+
+    Arrays convert by ``tolist`` (a 0-d array gives one cell) and are
+    floats when their dtype is; other sequences are floats when every cell
+    is a float.
+    """
+    values = col.tolist() if hasattr(col, "tolist") else list(col)
+    if not isinstance(values, list):
+        values = [values]
+    dtype = getattr(col, "dtype", None)
+    if dtype is not None:
+        return values, dtype.kind == "f"
+    return values, all(isinstance(v, float) for v in values)
+
+
 def _write_csv(fh: IO[str], metadata, columns, precision):
     fh.write(f"# schema_version={SCHEMA_VERSION}\n")
     for key, value in metadata.items():
         if isinstance(value, float):
             value = format_float(value, precision)
         fh.write(f"# {key}={value}\n")
-    names = list(columns)
-    fh.write(",".join(names) + "\n")
-    arrays = [np.atleast_1d(np.asarray(columns[name])) for name in names]
+    fh.write(",".join(columns) + "\n")
     # float or plain formatting is decided once per column, not per cell;
     # "%.{p-1}e" and "%s" give the bytes of format_float and str
-    floats = [np.issubdtype(arr.dtype, np.floating) for arr in arrays]
-    row = ",".join(f"%.{precision - 1}e" if is_float else "%s" for is_float in floats) + "\n"
-    cells = [arr.astype(float).tolist() if is_float else list(arr) for arr, is_float in zip(arrays, floats)]
-    fh.write("".join([row % values for values in zip(*cells)]))
+    row = ",".join(f"%.{precision - 1}e" if is_float else "%s" for _, is_float in columns.values()) + "\n"
+    fh.write("".join([row % values for values in zip(*(cells for cells, _ in columns.values()))]))
 
 
 def _json_list(values: list) -> str:
@@ -58,10 +68,7 @@ def _json_list(values: list) -> str:
 
 def _write_json(fh: IO[str], metadata, columns, precision):
     header = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": dict(metadata)}, indent=1)
-    samples = ",\n".join(
-        f"  {json.dumps(name)}: {_json_list(np.atleast_1d(np.asarray(col)).tolist())}"
-        for name, col in columns.items()
-    )
+    samples = ",\n".join(f"  {json.dumps(name)}: {_json_list(cells)}" for name, (cells, _) in columns.items())
     # the header's closing "\n}" makes way for the samples object
     fh.write(header[:-2] + f',\n "samples": {{\n{samples}\n }}\n}}\n')
 
@@ -75,20 +82,22 @@ def write_table(
 ) -> None:
     """Write a metadata + columns table to ``path`` (stdout when None).
 
-    Raises ValueError, before any file is opened, for a table without
-    columns or with columns of different lengths.
+    Columns are numpy arrays or plain sequences; both give the same bytes
+    for the same values.  Raises ValueError, before any file is opened, for
+    a table without columns or with columns of different lengths.
     """
-    lengths = {np.size(col) for col in columns.values()}
+    cols = {name: _column(col) for name, col in columns.items()}
+    lengths = {len(cells) for cells, _ in cols.values()}
     if not lengths:
         raise ValueError("a table needs at least one column")
     if len(lengths) > 1:
         raise ValueError(f"all columns must have the same length, got lengths {sorted(lengths)}")
     writer = _write_csv if fmt == "csv" else _write_json
     if path is None:
-        writer(sys.stdout, metadata, columns, precision)
+        writer(sys.stdout, metadata, cols, precision)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer(fh, metadata, columns, precision)
+            writer(fh, metadata, cols, precision)
 
 
 def _parse_scalar(text: str):
@@ -103,7 +112,9 @@ def _parse_scalar(text: str):
 
 
 def read_table(path: str) -> tuple[dict, dict]:
-    """Re-read a table written by write_table (format inferred from content)."""
+    """Re-read a table written by write_table (format inferred from content), columns as arrays."""
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.read(1)
         fh.seek(0)

@@ -27,6 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import period as period_mod
+from .curve import max_amplitude
 from .errors import DomainError, EventNotFoundError, IntegrationError
 
 __all__ = [
@@ -126,15 +127,6 @@ def integrate(lam: float, alpha: float, x_end: float, tol: float = 1e-10) -> lis
 def energy(s: State, lam: float) -> float:
     """First integral 1/sqrt(1 + g^2) - lam f^2 / 2 (constant = beta)."""
     return 1.0 / math.sqrt(1.0 + s.g * s.g) - lam * s.f * s.f / 2.0
-
-
-def max_amplitude(lam: float, alpha: float) -> float:
-    """Closed-form peak height sqrt(2 (1 - beta) / lam) of the profile."""
-    if lam <= 0.0:
-        raise DomainError(f"lambda must be positive, got {lam}")
-    if alpha < 0.0:
-        raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    return math.sqrt(2.0 * period_mod.one_minus_beta(alpha) / lam)
 
 
 def quarter_period(lam: float, alpha: float, tol: float = 1e-10) -> float:

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import branch as branch_mod
+from . import curve
 from .elliptic import Arc, complete_integrals
 from .errors import DomainError, OutOfRangeError, ParityError, SaturationError, SingularityError
-from .ivp import SolutionProfile, max_amplitude
+from .ivp import SolutionProfile
 from .quadrature import cumulative_gauss
 
 __all__ = [
@@ -78,7 +78,7 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
         raise ParityError(f"to_pendulum requires an even profile, got parity={profile.parity!r}")
     arc = Arc(profile.lam, profile.alpha)
     crest = float(profile.f[0])
-    height = max_amplitude(profile.lam, profile.alpha)
+    height = curve.max_amplitude(profile.lam, profile.alpha)
     if abs(abs(crest) - height) > CREST_REL_TOL * max(height, 1.0):
         raise DomainError(
             f"crest f(0)={crest:.12g} does not match the arc height {height:.12g} "
@@ -177,7 +177,7 @@ def pendulum_period(lam: float) -> float:
     to rounding.  Equals 2*pi at lam = 1 and is strictly decreasing in
     lam.  Raises OutOfRangeError outside (lambda_star, 1].
     """
-    return _swing_period(branch_mod.alpha_of_lambda(lam))
+    return _swing_period(curve.alpha_of_lambda(lam))
 
 
 def lambda_of_period(L: float) -> float:
@@ -197,9 +197,9 @@ def lambda_of_period(L: float) -> float:
         raise OutOfRangeError(L, (two_pi, math.inf), f"no swing period below 2*pi, got {L}")
     if L <= two_pi:
         return 1.0
-    floor = branch_mod.lambda_floor()
+    floor = curve.lambda_floor()
     try:
-        a = branch_mod._slope_root(lambda a: L - _swing_period(a))
+        a = curve._slope_root(lambda a: L - _swing_period(a))
     except SaturationError:
         # L is flat in a to rounding at the cap, so the floor's own period
         # can equal L(ALPHA_MAX) and leave the bracket without a sign change
@@ -209,4 +209,4 @@ def lambda_of_period(L: float) -> float:
         raise OutOfRangeError(
             L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period"
         ) from None
-    return max(branch_mod._lambda_of_alpha(a), floor)
+    return max(curve._lambda_of_alpha(a), floor)

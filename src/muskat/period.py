@@ -8,7 +8,7 @@ which the profile slope vanishes is the quarter of the Jacobi arc,
 with ``b = 1/sqrt(1 + alpha^2)`` (DLMF §19.8; ``elliptic.Arc``).  It equals
 sqrt(2/lam) int_0^1 [(1-b) tau^2 + b] / sqrt((1 - tau^2)(1 + (1-b) tau^2 + b)) dtau,
 the integral form that the test suite keeps as an independent route.  K and
-E come from one AGM per call (``elliptic.complete_integrals``).  The branch
+E come from one AGM per call (``agm.complete_integrals``).  The branch
 solvers root-find against this map.
 """
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .elliptic import beta_of_alpha, complete_integrals, one_minus_beta
+from .agm import beta_of_alpha, complete_integrals, one_minus_beta
 from .errors import DomainError
 from .special import constants
 

@@ -19,6 +19,7 @@ from muskat import (
     SaturationError,
 )
 from muskat import branch as branch_mod
+from muskat import curve as curve_mod
 from muskat import pendulum as pendulum_mod
 
 P_UNIT = PhysicalParams(grav=1.0, rho_plus=1.0, rho_minus=0.0, h=2.0)
@@ -467,7 +468,7 @@ def test_lambda_floor_is_resolvable_and_bounded(monkeypatch):
     # the explicit lambda of the cap, at most a few ulps below the floor
     start = branch_mod._lambda_of_alpha(branch_mod.ALPHA_MAX)
     assert start <= floor <= start + 4 * math.ulp(start)
-    monkeypatch.setattr(branch_mod, "FLOOR_NUDGES", 0)
+    monkeypatch.setattr(curve_mod, "FLOOR_NUDGES", 0)
     with pytest.raises(ConvergenceError):
         branch_mod.lambda_floor.__wrapped__()
 

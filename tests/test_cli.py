@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -264,6 +265,61 @@ def test_config_validation_names_fields(tmp_path, capsys):
     cfg.write_text(json.dumps({"h": 5, "rho_minus": 0}))
     assert run(["classify", "--config", str(cfg)]) == 0
     assert "SLOPE_BLOWUP" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["branch", "--n", "3", "--g", "nan"], "grav must be positive"),
+        (["coexist", "--h", "nan"], "h must be positive"),
+        (["classify", "--rho-plus", "nan"], "rho_plus must exceed rho_minus"),
+        (["constants", "--rho-minus", "nan"], "rho_plus must exceed rho_minus"),
+    ],
+)
+def test_nan_physical_flags_are_bad_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+def test_nan_in_a_config_file_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for text, message in [('{"h": NaN}', "h must be positive"), ('{"grav": NaN}', "grav must be positive")]:
+        cfg.write_text(text)  # Python's json reads the NaN literal
+        for cmd in (["classify"], ["branch", "--n", "3"], ["coexist"]):
+            assert run(cmd + ["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: sha256 of the scalar commands' files before they stopped loading numpy;
+#: the table writer and the branch grid must keep these bytes
+SCALAR_DIGESTS = {
+    ("constants", "csv"): "0dc22413ed0ea10d5a75466f4c10b13ff63ded6cb4c5ea887e115f04ffd9e196",
+    ("constants", "json"): "0dc22413ed0ea10d5a75466f4c10b13ff63ded6cb4c5ea887e115f04ffd9e196",
+    ("classify", "csv"): "ed58dfde87c479f483ed01e3a3efd91f27e20ad46263876cf5f0dc541b1e099d",
+    ("classify", "json"): "ed58dfde87c479f483ed01e3a3efd91f27e20ad46263876cf5f0dc541b1e099d",
+    ("branch-touching", "csv"): "18d1e6182d64a118a6a26f551866b8fb728ff683f08618f953ee233ecd96beb4",
+    ("branch-touching", "json"): "b9de018c49cf909c7fca60b236704404f2a887754732448e484bee61574abfca",
+    ("branch-blowup-l3", "csv"): "19b17f01bdb8db64c3d2f419e1d755a1bd04bb57cdb6de6ecd13e3adf86204ed",
+    ("branch-blowup-l3", "json"): "abc7b722fd1267896557431e38a96c91bbda5f4a780c0145ad183096cf097b1f",
+    ("coexist", "csv"): "f143f60b4788bad1df4d525a47aa63276214711913475c9b538dbeb23b75c63a",
+    ("coexist", "json"): "f9e29b6237aaf3e392906e7925edb18865e16cf920b96e5322c47a395c3db954",
+}
+SCALAR_ARGV = {
+    "constants": ["constants"],
+    "classify": ["classify"],
+    "branch-touching": ["branch", "--h", "1"],
+    "branch-blowup-l3": ["branch", "--h", "5", "--l", "3"],
+    "coexist": ["coexist", "--l-max", "8"],
+}
+
+
+@pytest.mark.parametrize("name, fmt", list(SCALAR_DIGESTS))
+def test_scalar_command_bytes_are_frozen(tmp_path, name, fmt):
+    out = tmp_path / f"{name}.{fmt}"
+    assert run(SCALAR_ARGV[name] + ["--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SCALAR_DIGESTS[name, fmt]
 
 
 def test_readme_names_the_shared_flags_and_config_keys():

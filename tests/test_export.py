@@ -122,3 +122,28 @@ def test_writer_bytes_of_an_exported_profile(tmp_path):
     assert prof.x.size == 513
     for fmt in ("csv", "json"):
         _same_bytes(tmp_path, fmt, {"lambda": prof.lam, "alpha": prof.alpha, "parity": prof.parity}, columns)
+
+
+# -- plain lists give the bytes of the arrays they came from -----------------
+
+LIST_SOURCES = [
+    {"f": np.array([0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.5e10, 1.0 / 3.0]), "l": np.arange(8) - 3},
+    {"f": np.array([]), "l": np.array([], dtype=int)},
+]
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("arrays", LIST_SOURCES, ids=["values", "empty"])
+def test_plain_lists_give_the_bytes_of_arrays(tmp_path, fmt, precision, arrays):
+    written = []
+    for kind, columns in [
+        ("arrays", arrays),
+        ("lists", {name: col.tolist() for name, col in arrays.items()}),
+        ("tuples", {name: tuple(col.tolist()) for name, col in arrays.items()}),
+    ]:
+        path = tmp_path / f"{kind}.{fmt}"
+        write_table(str(path), EDGE_META, columns, fmt=fmt, precision=precision)
+        written.append(path.read_bytes())
+    assert written[1] == written[0]
+    assert written[2] == written[0]

@@ -1,0 +1,123 @@
+"""The lazy package namespace and the numpy-free scalar commands."""
+
+import importlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import muskat
+from muskat import branch as branch_mod
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: the names ``muskat`` exported when its ``__init__`` imported every submodule
+PACKAGE_NAMES = [
+    "Branch", "BranchPoint", "ConfigError", "Constants", "ConvergenceError", "DomainError", "EventNotFoundError",
+    "ExpansionFit", "IntegrationError", "MuskatError", "OutOfRangeError", "ParityError", "PendulumTrajectory",
+    "PhysicalParams", "QuarterProfile", "Regime", "RegimeKind", "RunConfig", "SaturationError", "SingularityError",
+    "SolutionProfile", "State", "alpha_of_lambda", "beta", "beta_of_alpha", "branch_amplitude",
+    "coexistence_levels", "constants", "dtheta_dalpha", "energy", "expansion_check", "extend_odd_periodic",
+    "fourier_sine_coefficient", "from_pendulum", "gamma_bar", "gamma_of_lambda", "integrate", "lambda_floor",
+    "lambda_h", "lambda_of_gamma", "lambda_of_period", "log_gamma", "max_amplitude", "negate_profile",
+    "pendulum_period", "profile_at", "quarter_period", "residual", "scale_profile", "solve_quarter", "theta",
+    "theta_limit_infinity", "theta_limit_zero", "to_pendulum", "trace_branch", "translate_even", "zero_profile",
+]
+#: the submodules that were attributes of the package after ``import muskat``
+PACKAGE_MODULES = ["branch", "config", "elliptic", "errors", "ivp", "pendulum", "period", "quadrature", "roots",
+                   "special"]
+#: ``muskat.branch.__all__`` before the scalar branch moved to ``curve``
+BRANCH_NAMES = [
+    "Branch", "BranchPoint", "ExpansionFit", "PhysicalParams", "Regime", "RegimeKind", "alpha_of_lambda",
+    "branch_amplitude", "coexistence_levels", "expansion_check", "fourier_sine_coefficient", "gamma_bar",
+    "gamma_of_lambda", "lambda_floor", "lambda_h", "lambda_of_gamma", "negate_profile", "profile_at", "residual",
+    "scale_profile", "trace_branch", "translate_even",
+]
+
+
+def _child(script: str, *args: str) -> list:
+    """Run ``script`` in a fresh interpreter on this checkout; it prints one JSON document."""
+    path = [os.path.dirname(muskat.__path__[0]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+LOADED = "sorted(m for m in sys.modules if m.partition('.')[0] == 'numpy' or m.startswith('muskat.'))"
+
+
+def test_import_muskat_loads_no_submodule_and_no_numpy():
+    assert _child(f"import json, sys\nimport muskat\nprint(json.dumps({LOADED}))\n") == []
+
+
+def test_scalar_commands_never_load_numpy(tmp_path):
+    # constants, classify, branch and coexist run on the math module alone;
+    # the profile handler then brings numpy in
+    scalar = [["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"]]
+    script = (
+        "import json, sys\n"
+        "from muskat.cli import main\n"
+        "out = sys.argv[2]\n"
+        "codes = [main(argv + ['--out', f'{out}/{i}.out']) for i, argv in enumerate(json.loads(sys.argv[1]))]\n"
+        "numpy_before = 'numpy' in sys.modules\n"
+        "code = main(['profile', '--lambda', '0.5', '--n', '65', '--out', f'{out}/profile.out'])\n"
+        "print(json.dumps([codes, numpy_before, code, 'numpy' in sys.modules]))\n"
+    )
+    codes, numpy_before, profile_code, numpy_after = _child(script, json.dumps(scalar), str(tmp_path))
+    assert codes == [0] * len(scalar)
+    assert not numpy_before
+    assert profile_code == 0 and numpy_after
+    assert len(list(tmp_path.iterdir())) == len(scalar) + 1
+
+
+def test_public_names_are_their_defining_objects():
+    assert sorted(muskat.__all__) == sorted(PACKAGE_NAMES)
+    for name in muskat.__all__:
+        obj = getattr(muskat, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("muskat."), name
+        assert getattr(home, name) is obj, name
+    for name in PACKAGE_MODULES:
+        assert getattr(muskat, name) is importlib.import_module(f"muskat.{name}")
+    assert set(muskat.__all__) <= set(dir(muskat))
+    with pytest.raises(AttributeError, match="no attribute 'alpha_max'"):
+        muskat.alpha_max  # noqa: B018
+    with pytest.raises(ImportError):
+        from muskat import not_a_name  # noqa: F401
+
+
+def test_branch_keeps_its_names_as_the_scalar_objects():
+    curve_mod = importlib.import_module("muskat.curve")
+    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL", "_lambda_of_alpha", "_slope_root"]:
+        assert hasattr(branch_mod, name), name
+    for name in curve_mod.__all__:
+        if name != "max_amplitude":
+            assert getattr(branch_mod, name) is getattr(curve_mod, name), name
+    assert muskat.ivp.max_amplitude is curve_mod.max_amplitude
+    assert muskat.elliptic.complete_integrals is importlib.import_module("muskat.agm").complete_integrals
+
+
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # bench/tracer.py wraps these by getattr on each imported module, so a
+    # missing name would crash every traced run
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert len(tracer.TRACED["branch"]) == 12
+    for mod_name, names in tracer.TRACED.items():
+        home = importlib.import_module(f"muskat.{mod_name}")
+        for name in names:
+            assert callable(getattr(home, name)), f"{mod_name}.{name}"
+
+
+def test_branch_column_is_an_ndarray():
+    br = muskat.trace_branch(muskat.PhysicalParams(h=5.0), n_points=5)
+    col = br.column("lam")
+    assert isinstance(col, np.ndarray) and col.dtype == float
+    assert col.tolist() == [pt.lam for pt in br.points]
