@@ -16,13 +16,14 @@ import numpy as np
 
 from . import elliptic, ivp
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
-    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _lambda_of_alpha, _slope_root,
+    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _lambda_of_alpha,
     alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
     lambda_of_gamma, trace_branch,
 )
-from .errors import DomainError, OutOfRangeError, ParityError
+from .errors import DomainError, OutOfRangeError, ParityError, SaturationError
 from .ivp import SolutionProfile
 from .quadrature import gauss_panels
+from .roots import brentq
 
 __all__ = [
     "Branch",
@@ -243,6 +244,26 @@ def _sine_coefficient(a: float, n_nodes: int = 64) -> float:
     with a to its sup at a = inf (b = 0), about 3.066268.
     """
     return elliptic.Arc(_lambda_of_alpha(a), a).cosine_coefficient(n_nodes)
+
+
+def _slope_root(g) -> float:
+    """The slope a > 0 where g, positive at 0 and decreasing, changes sign.
+
+    Doubles the bracket [0, hi] from hi = 1 up to ALPHA_MAX, then runs
+    Brent's method on it.  Raises SaturationError when g is still
+    nonnegative at ALPHA_MAX.  Only ``_lambda_for_coefficient`` solves
+    this way: the sine coefficient has no closed-form derivative in the
+    slope, where the closed-form solves of ``curve`` run Newton in b.
+    """
+    hi = 1.0
+    while g(hi) >= 0.0:
+        if hi >= ALPHA_MAX:
+            raise SaturationError(f"slope bracket exceeded ALPHA_MAX={ALPHA_MAX:g}")
+        hi = min(2.0 * hi, ALPHA_MAX)
+    # xtol = ulp(0) leaves the stop to Brent's rounding floor: the bracket
+    # closes to 4 eps |a| around the root, or ConvergenceError after 100
+    # iterations
+    return float(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
 
 
 def _lambda_for_coefficient(eps_base: float) -> float:

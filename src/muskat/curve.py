@@ -8,6 +8,11 @@ against the cell half-height h splits at h_star into three regimes: the
 fingers touch the cell boundary (h < h_star), height and slope blow up
 together (h = h_star), or only the slope blows up (h > h_star).
 
+With b = 1/sqrt(1 + alpha^2) and m = (1 - b)/2 the branch parameter
+(2 (2E - K)/pi)^2, the amplitude 2 sqrt(m/lam) and the swing period
+2 pi K/(2E - K) are closed forms in K(m) and E(m), so each inverse solve
+is a safeguarded Newton iteration in b with one AGM per step.
+
 Everything here is scalar and imports only ``math`` (through ``period``
 and ``agm``), so the commands that need no profile load no numpy.
 ``branch`` re-exports these names next to the profile layer.
@@ -20,9 +25,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
+from . import agm
 from . import period as period_mod
 from .errors import ConvergenceError, DomainError, OutOfRangeError, SaturationError
-from .roots import brentq
 from .special import constants
 
 __all__ = [
@@ -53,6 +58,9 @@ H_STAR_REL_TOL = 1e-9
 #: bound on the ulp steps lambda_floor takes onto the resolvable side
 FLOOR_NUDGES = 1000
 
+#: step bound of the Newton iteration in b
+MAX_STEPS = 100
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -75,6 +83,9 @@ class PhysicalParams:
             raise DomainError("h must be positive")
         if not self.rho_plus > self.rho_minus:
             raise DomainError("rho_plus must exceed rho_minus (heavier fluid on top)")
+        for name in ("grav", "rho_plus", "rho_minus", "h"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
 
     @property
     def weight(self) -> float:
@@ -174,29 +185,68 @@ def _lambda_of_alpha(a: float) -> float:
     return min(float(2.0 * period_mod.theta(1.0, a) / math.pi) ** 2, 1.0)
 
 
-def _slope_root(g) -> float:
-    """The slope a > 0 where g, positive at 0 and decreasing, changes sign.
+def _integrals_of_b(b: float) -> tuple[float, float, float, float]:
+    """m = (1 - b)/2 and K, S = 1 - E/K, Q = (2E - K)/K there, from one AGM.
 
-    Doubles the bracket [0, hi] from hi = 1 up to ALPHA_MAX, then runs
-    Brent's method on it.  Raises SaturationError when g is still
-    nonnegative at ALPHA_MAX.
+    The AGM runs on the rows of sqrt((1 + b)/2) and sqrt(m).
     """
-    hi = 1.0
-    while g(hi) >= 0.0:
-        if hi >= ALPHA_MAX:
-            raise SaturationError(f"slope bracket exceeded ALPHA_MAX={ALPHA_MAX:g}")
-        hi = min(2.0 * hi, ALPHA_MAX)
-    # xtol = ulp(0) leaves the stop to Brent's rounding floor: the bracket
-    # closes to 4 eps |a| around the root, or ConvergenceError after 100
-    # iterations
-    return float(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
+    m = 0.5 * (1.0 - b)
+    return (m, *agm._complete(*agm._agm(math.sqrt(0.5 * (1.0 + b)), math.sqrt(m)), m))
+
+
+def _dkq_db(b: float, m: float, k: float, s: float) -> float:
+    """d(2E - K)/db = K (m + b S)/(4 m (1 - m)), which tends to 3K/8 as m -> 0."""
+    if m == 0.0:
+        return 0.375 * k
+    return k * (m + b * s) / (4.0 * m * (1.0 - m))
+
+
+def _alpha_of_b(b: float) -> float:
+    """The slope sqrt(1 - b^2)/b of b = 1/sqrt(1 + alpha^2), for b > 0."""
+    return math.sqrt((1.0 - b) * (1.0 + b)) / b
+
+
+def _newton_b(g, b: float) -> float:
+    """The root in [0, 1] of g, increasing in b, by safeguarded Newton from b.
+
+    ``g(b)`` returns the residual and its derivative in b.  The bracket
+    starts as [0, 1]; a step that leaves it is replaced by bisection.  The
+    iteration stops when the residual is exactly 0, when the step does not
+    move b, when the bracket has closed to 2 ulp, or when a Newton step
+    fails to shrink the residual: it has reached its rounding floor, and
+    the point that step reached is kept, since it removed the residual
+    measured before it and is off only by that measurement's rounding.
+    Raises ConvergenceError after MAX_STEPS steps.
+    """
+    lo, hi = 0.0, 1.0
+    last = math.inf  # |residual| where the last Newton step started
+    for _ in range(MAX_STEPS):
+        r, dr = g(b)
+        if r == 0.0 or abs(r) >= last:
+            return b
+        if r < 0.0:
+            lo = b
+        else:
+            hi = b
+        new = b - r / dr
+        if new == b or hi - lo <= 2.0 * math.ulp(hi):
+            return b
+        if lo < new < hi:
+            last = abs(r)
+        else:
+            new, last = 0.5 * (lo + hi), math.inf
+        b = new
+    raise ConvergenceError(f"Newton iteration in b did not converge in {MAX_STEPS} steps (at b={b:.17g})")
 
 
 def alpha_of_lambda(lam: float) -> float:
     """The unique slope alpha >= 0 with theta(lam, alpha) = pi/2.
 
     Defined exactly on (lambda_star, 1]; alpha(1) = 0 and alpha diverges as
-    lam approaches lambda_star.  Strictly decreasing in lam.
+    lam approaches lambda_star.  Strictly decreasing in lam.  One Newton
+    iteration in b = 1/sqrt(1 + alpha^2), started from the blow-up
+    asymptote b = (pi/2)(lam - lambda_star), on the residual
+    theta(lam, alpha(b)) - pi/2 of the float slope alpha(b) it returns.
 
     Raises
     ------
@@ -208,15 +258,22 @@ def alpha_of_lambda(lam: float) -> float:
     c = constants()
     if not c.lambda_star < lam <= 1.0:
         raise OutOfRangeError(lam, (c.lambda_star, 1.0))
-    target = 0.5 * math.pi
-    if lam == 1.0 or period_mod.theta(lam, 0.0) - target <= 0.0:
-        return 0.0
-    try:
-        return _slope_root(lambda a: period_mod.theta(lam, a) - target)
-    except SaturationError as exc:
+    if lam < lambda_floor():
         raise SaturationError(
-            f"{exc} at lambda={lam:.12g} (too close to lambda_star={c.lambda_star:.12g})"
-        ) from None
+            f"slope exceeds ALPHA_MAX={ALPHA_MAX:g} at lambda={lam:.12g} "
+            f"(too close to lambda_star={c.lambda_star:.12g})"
+        )
+    root_lam = math.sqrt(lam)
+    target = 0.5 * math.pi
+
+    def residual(b):
+        *rows, m = agm._arc_agm(_alpha_of_b(b))
+        k, s, q = agm._complete(*rows, m)
+        return k * q / root_lam - target, _dkq_db(b, m, k, s) / root_lam
+
+    b = _newton_b(residual, min(1.0, target * (lam - c.lambda_star)))
+    # at or above the floor the root lies below the cap: theta(floor, ALPHA_MAX) < pi/2
+    return min(_alpha_of_b(b), ALPHA_MAX)
 
 
 def branch_amplitude(lam: float) -> float:
@@ -247,8 +304,8 @@ def lambda_h(p: PhysicalParams) -> Regime:
     """Classify the branch endpoint for cell half-height p.h.
 
     h < h_star: the fingers touch the walls at the unique lambda_h in
-    (lambda_star, 1) with branch amplitude h: one solve in the slope a of
-    max_amplitude(lambda_of_alpha(a), a) = h, to rounding.
+    (lambda_star, 1) with branch amplitude 2 sqrt(m/lambda(b)) = h, where
+    lambda(b) = (2 K Q/pi)^2: one Newton iteration in b, to rounding.
     lambda_h never falls below lambda_floor(), where it stays when h is
     within ~1e-8 of h_star and the slope would exceed ALPHA_MAX.
     h = h_star (within a relative band of 1e-9): lambda_h = lambda_star,
@@ -262,12 +319,18 @@ def lambda_h(p: PhysicalParams) -> Regime:
         kind, lam_h = RegimeKind.SLOPE_BLOWUP, c.lambda_star
     else:
         kind = RegimeKind.TOUCHES_BOUNDARY
-        excess = lambda a: p.h - max_amplitude(_lambda_of_alpha(a), a)
-        try:
-            a = _slope_root(excess)
-        except SaturationError:  # the endpoint is beyond the slope cap
-            a = ALPHA_MAX
-        lam_h = max(_lambda_of_alpha(a), lambda_floor())
+        h2 = p.h * p.h
+
+        def excess(b):
+            # (KQ)^2 (h^2 - amplitude^2), with amplitude^2 = pi^2 m/(KQ)^2:
+            # increasing in b and smooth at m = 0, where the amplitude is not
+            m, k, s, q = _integrals_of_b(b)
+            kq = k * q
+            return h2 * kq * kq - math.pi**2 * m, 2.0 * h2 * kq * _dkq_db(b, m, k, s) + 0.5 * math.pi**2
+
+        # start from the small-h asymptote m = h^2/4
+        b = _newton_b(excess, max(0.0, 1.0 - 0.5 * h2))
+        lam_h = max(_lambda_of_alpha(_alpha_of_b(b)), lambda_floor())
     return Regime(kind=kind, lambda_h=lam_h, gamma_h=gamma_of_lambda(p, lam_h))
 
 

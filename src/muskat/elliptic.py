@@ -94,9 +94,17 @@ class Arc:
 
     @cached_property
     def _table(self):
-        """(u, x(u), dx/du) on TABLE_NODES uniform nodes of [0, K]: the inversion's start."""
+        """(u, x(u), dx/du) on TABLE_NODES uniform nodes of [0, K]: the inversion's start.
+
+        The end abscissae are pinned to their closed forms 0 and ``quarter``,
+        so x = quarter starts (and, within the rounding of the zeta sum,
+        stays) at u = K exactly: near b = 0, dx/du = b/sqrt(lam) there, and
+        an ulp of x moves u, and so f', by about 1/b ulps.
+        """
         u = np.linspace(0.0, self.K, TABLE_NODES)
-        return u, self.x(u), self._dxdu(self._jacobi(u)[1])
+        x = self.x(u)
+        x[0], x[-1] = 0.0, self.quarter
+        return u, x, self._dxdu(self._jacobi(u)[1])
 
     def _jacobi(self, u):
         return _landen(u, self.m, *self._rows)

@@ -32,9 +32,10 @@ import numpy as np
 
 from . import curve
 from .elliptic import Arc, complete_integrals
-from .errors import DomainError, OutOfRangeError, ParityError, SaturationError, SingularityError
+from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
 from .ivp import SolutionProfile
 from .quadrature import cumulative_gauss
+from .special import constants
 
 __all__ = [
     "PendulumTrajectory",
@@ -186,11 +187,11 @@ def lambda_of_period(L: float) -> float:
     Among all pendulum swings, those corresponding to steady profiles of
     circle period 2*pi form the one-parameter family lam in
     (lambda_star, 1] with L(lam) decreasing from 4/lambda_star down to
-    2*pi.  Along the branch L = 2 pi K/(2 E - K) and lam =
-    lambda_of_alpha(a) are both explicit in the slope a, so this is one
-    root solve in a, to rounding; periods the slope cap cannot separate from
-    that of ``lambda_floor()`` return the floor.  Raises OutOfRangeError
-    below 2*pi and beyond the swing period of ``lambda_floor()``.
+    2*pi.  Along the branch L = 2 pi/Q and lam = (2 K Q/pi)^2 are both
+    explicit in b = 1/sqrt(1 + alpha^2), so this is one Newton iteration
+    in b on Q(b) = 2 pi/L, to rounding, never returning less than
+    ``lambda_floor()``.  Raises OutOfRangeError below 2*pi and beyond the
+    swing period of ``lambda_floor()``.
     """
     two_pi = 2.0 * math.pi
     if L < two_pi - 1e-12:
@@ -198,15 +199,18 @@ def lambda_of_period(L: float) -> float:
     if L <= two_pi:
         return 1.0
     floor = curve.lambda_floor()
-    try:
-        a = curve._slope_root(lambda a: L - _swing_period(a))
-    except SaturationError:
-        # L is flat in a to rounding at the cap, so the floor's own period
-        # can equal L(ALPHA_MAX) and leave the bracket without a sign change
-        L_floor = pendulum_period(floor)
-        if L <= L_floor:
-            return floor
-        raise OutOfRangeError(
-            L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period"
-        ) from None
-    return max(curve._lambda_of_alpha(a), floor)
+    L_floor = pendulum_period(floor)
+    if L > L_floor:
+        raise OutOfRangeError(L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period")
+    target = two_pi / L
+
+    def residual(b):
+        # dQ/db = 1/2 + (S - m)^2/(2 m (1 - m)), from dK/db and d(2E - K)/db
+        m, _, s, q = curve._integrals_of_b(b)
+        slope = 0.5 if m == 0.0 else 0.5 + (s - m) ** 2 / (2.0 * m * (1.0 - m))
+        return q - target, slope
+
+    # Q rises from Q(0) = pi lambda_star/2 to Q(1) = 1 about linearly in b
+    q0 = 0.5 * math.pi * constants().lambda_star
+    b = curve._newton_b(residual, min(max((target - q0) / (1.0 - q0), 0.0), 1.0))
+    return max(curve._lambda_of_alpha(curve._alpha_of_b(b)), floor)

@@ -9,7 +9,7 @@ with ``b = 1/sqrt(1 + alpha^2)`` (DLMF §19.8; ``elliptic.Arc``).  It equals
 sqrt(2/lam) int_0^1 [(1-b) tau^2 + b] / sqrt((1 - tau^2)(1 + (1-b) tau^2 + b)) dtau,
 the integral form that the test suite keeps as an independent route.  K and
 E come from one AGM per call (``agm.complete_integrals``).  The branch
-solvers root-find against this map.
+solvers of ``curve`` run Newton in b on the same closed forms.
 """
 
 from __future__ import annotations

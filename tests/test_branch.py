@@ -1,5 +1,6 @@
 """Branch construction, regime trichotomy, scaling, even translation."""
 
+import importlib
 import math
 
 import mpmath
@@ -32,6 +33,11 @@ def test_physical_params_validation():
         PhysicalParams(h=0.0)
     with pytest.raises(DomainError):
         PhysicalParams(rho_plus=0.5, rho_minus=1.0)
+    for name in ("grav", "rho_plus", "h"):
+        with pytest.raises(DomainError, match=f"{name} must be finite"):
+            PhysicalParams(**{name: math.inf})
+    with pytest.raises(DomainError, match="rho_minus must be finite"):
+        PhysicalParams(rho_minus=-math.inf)
 
 
 def test_gamma_lambda_maps():
@@ -145,6 +151,35 @@ def test_slope_solves_converge_at_the_window_edges():
     floor = muskat.lambda_floor()
     assert c.lambda_star < floor < c.lambda_star + 1e-8
     assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
+
+
+def test_slope_solves_take_a_few_agm_calls(monkeypatch):
+    # each Newton step in b is one AGM: a handful per solve at every gap,
+    # where Brent on theta took 9 to 60 (and 9 to 23 for lambda_h)
+    c = muskat.constants()
+    muskat.lambda_floor()  # cached, not part of a solve
+    calls = []
+    agm_mod = importlib.import_module("muskat.agm")
+    real = agm_mod._agm
+
+    def counted(*rows):
+        calls.append(rows)
+        return real(*rows)
+
+    monkeypatch.setattr(agm_mod, "_agm", counted)
+
+    def agm_calls(solve, arg):
+        calls.clear()
+        solve(arg)
+        return len(calls)
+
+    lams = [c.lambda_star + g for g in np.logspace(-8.0, math.log10(0.7), 200)]
+    lams += [1.0 - d for d in np.logspace(-14.0, -2.0, 25)]
+    worst = max(agm_calls(muskat.alpha_of_lambda, float(lam)) for lam in lams)
+    assert worst <= 8
+    hs = [c.h_star * k / 61.0 for k in range(1, 61)]
+    worst = max(agm_calls(muskat.lambda_h, PhysicalParams(h=h)) for h in hs)
+    assert worst <= 10
 
 
 def test_branch_amplitude_monotone_with_limit():

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -292,17 +293,44 @@ def test_nan_in_a_config_file_names_the_field(tmp_path, capsys):
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
-#: sha256 of the scalar commands' files before they stopped loading numpy;
-#: the table writer and the branch grid must keep these bytes
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["branch", "--n", "3", "--g", "inf"], "grav must be finite"),
+        (["coexist", "--rho-plus", "inf"], "rho_plus must be finite"),
+        (["classify", "--rho-minus=-inf"], "rho_minus must be finite"),
+        (["constants", "--h", "inf"], "h must be finite"),
+    ],
+)
+def test_infinite_physical_flags_are_bad_input(tmp_path, capsys, argv, message):
+    out = tmp_path / "t.out"
+    assert run(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_infinity_in_a_config_file_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cases = [('{"grav": Infinity}', "grav must be finite"), ('{"rho_plus": Infinity}', "rho_plus must be finite")]
+    for text, message in cases:
+        cfg.write_text(text)  # Python's json reads the Infinity literal
+        for cmd in (["classify"], ["branch", "--n", "3"], ["coexist"]):
+            assert run(cmd + ["--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
+#: sha256 of the scalar commands' files: the table writer and the branch
+#: grid must keep these bytes; the branch rows are the Newton-in-b slope
+#: solves, checked row by row against mpmath below
 SCALAR_DIGESTS = {
-    ("constants", "csv"): "0dc22413ed0ea10d5a75466f4c10b13ff63ded6cb4c5ea887e115f04ffd9e196",
-    ("constants", "json"): "0dc22413ed0ea10d5a75466f4c10b13ff63ded6cb4c5ea887e115f04ffd9e196",
-    ("classify", "csv"): "ed58dfde87c479f483ed01e3a3efd91f27e20ad46263876cf5f0dc541b1e099d",
-    ("classify", "json"): "ed58dfde87c479f483ed01e3a3efd91f27e20ad46263876cf5f0dc541b1e099d",
-    ("branch-touching", "csv"): "18d1e6182d64a118a6a26f551866b8fb728ff683f08618f953ee233ecd96beb4",
-    ("branch-touching", "json"): "b9de018c49cf909c7fca60b236704404f2a887754732448e484bee61574abfca",
-    ("branch-blowup-l3", "csv"): "19b17f01bdb8db64c3d2f419e1d755a1bd04bb57cdb6de6ecd13e3adf86204ed",
-    ("branch-blowup-l3", "json"): "abc7b722fd1267896557431e38a96c91bbda5f4a780c0145ad183096cf097b1f",
+    ("constants", "csv"): "365eb7cfc8c7d4ea242ee42525e6538ef6ccd09a8746506b3fceb54a7a246adf",
+    ("constants", "json"): "365eb7cfc8c7d4ea242ee42525e6538ef6ccd09a8746506b3fceb54a7a246adf",
+    ("classify", "csv"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
+    ("classify", "json"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
+    ("branch-touching", "csv"): "2d8feee3fe15675b8e063306ce2920e364aedb55330972b2e5072f53c0657ab6",
+    ("branch-touching", "json"): "c5365c31b4bcf80f46b475ab09291cda9bdd01e6724ffd13a2d8b9915e4dd18c",
+    ("branch-blowup-l3", "csv"): "7b6591f9bc7a2a95c0986b8fcf604c87f40d26e3bae0828fbebc7c1730838b5a",
+    ("branch-blowup-l3", "json"): "f1449664068bbb9b3fa628c0879d8c2492b3210a1370f7e2c342ad5cb1f6e0be",
     ("coexist", "csv"): "f143f60b4788bad1df4d525a47aa63276214711913475c9b538dbeb23b75c63a",
     ("coexist", "json"): "f9e29b6237aaf3e392906e7925edb18865e16cf920b96e5322c47a395c3db954",
 }
@@ -320,6 +348,26 @@ def test_scalar_command_bytes_are_frozen(tmp_path, name, fmt):
     out = tmp_path / f"{name}.{fmt}"
     assert run(SCALAR_ARGV[name] + ["--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SCALAR_DIGESTS[name, fmt]
+
+
+@pytest.mark.parametrize("name", ["branch-touching", "branch-blowup-l3"])
+def test_branch_rows_against_mpmath(tmp_path, name):
+    # every row's alpha has exact lambda(alpha) = the row's base lambda, and
+    # its amplitude is the closed form 2 sqrt(m/lambda)/l, to 1e-14 relative
+    out = tmp_path / "branch.json"
+    assert run(SCALAR_ARGV[name] + ["--format", "json", "--out", str(out)]) == 0
+    table = json.loads(out.read_text())
+    l = table["metadata"]["l"]
+    rows = zip(*(table["samples"][k] for k in ("lambda", "alpha", "amplitude")))
+    with mpmath.workdps(40):
+        for lam, alpha, amplitude in rows:
+            base = mpmath.mpf(lam) / l**2
+            a = mpmath.mpf(alpha)
+            m = (1 - 1 / mpmath.sqrt(1 + a * a)) / 2
+            exact_lam = (2 * (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.pi) ** 2
+            exact_amp = 2 * mpmath.sqrt(m / base) / l
+            assert abs(exact_lam / base - 1) <= 1e-14, lam
+            assert abs(amplitude - exact_amp) <= 1e-14 * exact_amp, lam
 
 
 def test_readme_names_the_shared_flags_and_config_keys():
