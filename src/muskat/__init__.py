@@ -7,7 +7,7 @@ periodic pendulum swings.
 
 The package imports lazily (PEP 562): ``import muskat`` loads no
 submodule, and each public name loads its defining module on first use,
-so the scalar layers (``special``, ``agm``, ``period``, ``curve``) run
+so the scalar layers (``agm``, ``period``, ``curve``) run
 without numpy.
 """
 
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
     ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "export", "ivp", "pendulum", "period",
-     "quadrature", "roots", "special")
+     "quadrature")
 )
 
 #: public name -> the submodule that defines it
@@ -47,9 +47,8 @@ _HOME = {
     **dict.fromkeys(
         ("PendulumTrajectory", "from_pendulum", "lambda_of_period", "pendulum_period", "to_pendulum"), "pendulum"
     ),
-    "beta_of_alpha": "agm",
+    **dict.fromkeys(("Constants", "beta_of_alpha", "constants"), "agm"),
     **dict.fromkeys(("dtheta_dalpha", "theta", "theta_limit_infinity", "theta_limit_zero"), "period"),
-    **dict.fromkeys(("Constants", "beta", "constants", "log_gamma"), "special"),
 }
 
 __all__ = sorted(_HOME)

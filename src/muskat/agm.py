@@ -9,14 +9,21 @@ m <= 1/2).  ``complete_integrals`` feeds the AGM sqrt((1 + b)/2) and
 sqrt((1 - b)/2) directly, with 1 - b from ``one_minus_beta``.  This module
 imports only ``math``, so the scalar branch and the commands built on it
 load no numpy; ``elliptic`` runs the Landen recurrence on the same rows.
+
+The threshold constants are the b = 0 (m = 1/2) end of the branch, from
+the same AGM: with 2E - K = pi/(2K) at m = 1/2 (Legendre's relation),
+lambda_star = (2 K Q/pi)^2 = 1/K(1/2)^2, h_star = sqrt(2) K(1/2) and
+B(3/4, 1/2) = pi sqrt(2)/K(1/2).
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
+from functools import lru_cache
 
-__all__ = ["beta_of_alpha", "complete_integrals", "ellipkm1", "one_minus_beta"]
+__all__ = ["Constants", "beta_of_alpha", "complete_integrals", "constants", "ellipkm1", "one_minus_beta"]
 
 _EPS = sys.float_info.epsilon
 
@@ -87,3 +94,35 @@ def ellipkm1(m: float) -> float:
     if m == 0.0:
         return math.inf
     return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
+
+
+@dataclass(frozen=True)
+class Constants:
+    """Threshold constants of the steady-state problem.
+
+    Attributes
+    ----------
+    lambda_star : float
+        Eigenvalue below which no branch point of minimal period 2*pi exists:
+        the branch parameter (2 K Q/pi)^2 at b = 0, bitwise the branch's own.
+    h_star : float
+        Cell half-height separating the touching and slope-blow-up regimes,
+        sqrt(2 / lambda_star) = sqrt(2) K(1/2).
+    beta_3_4_1_2 : float
+        B(3/4, 1/2) = pi sqrt(2)/K(1/2), so lambda_star = B(3/4, 1/2)^2 / (2 pi^2).
+    """
+
+    lambda_star: float
+    h_star: float
+    beta_3_4_1_2: float
+
+
+@lru_cache(maxsize=1)
+def constants() -> Constants:
+    """Compute (once) lambda_star, h_star and B(3/4, 1/2) from K(1/2) and Q(1/2)."""
+    k, _, q = complete_integrals(math.inf)
+    return Constants(
+        lambda_star=(2.0 * (k * q) / math.pi) ** 2,
+        h_star=math.sqrt(2.0) * k,
+        beta_3_4_1_2=math.pi * math.sqrt(2.0) / k,
+    )

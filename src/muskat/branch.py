@@ -16,14 +16,13 @@ import numpy as np
 
 from . import elliptic, ivp
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
-    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _lambda_of_alpha,
-    alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
-    lambda_of_gamma, trace_branch,
+    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _alpha_of_b, _dkq_db,
+    _integrals_of_b, _lambda_of_alpha, _newton_b, alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar,
+    gamma_of_lambda, lambda_floor, lambda_h, lambda_of_gamma, trace_branch,
 )
-from .errors import DomainError, OutOfRangeError, ParityError, SaturationError
+from .errors import DomainError, OutOfRangeError, ParityError
 from .ivp import SolutionProfile
 from .quadrature import gauss_panels
-from .roots import brentq
 
 __all__ = [
     "Branch",
@@ -246,32 +245,29 @@ def _sine_coefficient(a: float, n_nodes: int = 64) -> float:
     return elliptic.Arc(_lambda_of_alpha(a), a).cosine_coefficient(n_nodes)
 
 
-def _slope_root(g) -> float:
-    """The slope a > 0 where g, positive at 0 and decreasing, changes sign.
-
-    Doubles the bracket [0, hi] from hi = 1 up to ALPHA_MAX, then runs
-    Brent's method on it.  Raises SaturationError when g is still
-    nonnegative at ALPHA_MAX.  Only ``_lambda_for_coefficient`` solves
-    this way: the sine coefficient has no closed-form derivative in the
-    slope, where the closed-form solves of ``curve`` run Newton in b.
-    """
-    hi = 1.0
-    while g(hi) >= 0.0:
-        if hi >= ALPHA_MAX:
-            raise SaturationError(f"slope bracket exceeded ALPHA_MAX={ALPHA_MAX:g}")
-        hi = min(2.0 * hi, ALPHA_MAX)
-    # xtol = ulp(0) leaves the stop to Brent's rounding floor: the bracket
-    # closes to 4 eps |a| around the root, or ConvergenceError after 100
-    # iterations
-    return float(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
-
-
 def _lambda_for_coefficient(eps_base: float) -> float:
     """Base lam whose odd 2*pi profile has first sine coefficient eps_base.
 
-    One solve in the slope a of _sine_coefficient(a) = eps_base.
+    One Newton iteration in b (``curve._newton_b``) on the residual of
+    ``lambda_h`` with the coefficient c(b) in place of the amplitude A:
+    (KQ)^2 eps^2 - pi^2 m (c/A)^2 = (KQ)^2 (eps^2 - c^2), with
+    A^2 = pi^2 m/(KQ)^2.  c has no closed-form derivative, so the
+    derivative treats (c/A)^2 as constant (1 at m = 0, where c/A -> 1).
+    Starts from the small-amplitude asymptote m = eps^2/4.  A root at
+    b = 0 is the blow-up end, lambda_star.
     """
-    return _lambda_of_alpha(_slope_root(lambda a: eps_base - _sine_coefficient(a)))
+    eps2 = eps_base * eps_base
+
+    def excess(b):
+        m, k, s, q = _integrals_of_b(b)
+        kq = k * q
+        c = _sine_coefficient(_alpha_of_b(b))
+        ratio2 = (c * kq) ** 2 / (math.pi**2 * m) if m > 0.0 else 1.0  # (c/A)^2
+        # eps - c is exact near the root, so the residual keeps c's digits
+        r = kq * kq * (eps_base - c) * (eps_base + c)
+        return r, 2.0 * eps2 * kq * _dkq_db(b, m, k, s) + 0.5 * math.pi**2 * ratio2
+
+    return _lambda_of_alpha(_alpha_of_b(_newton_b(excess, max(0.0, 1.0 - 0.5 * eps2))))
 
 
 def expansion_check(

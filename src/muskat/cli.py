@@ -17,6 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import curve
+from .agm import constants
 from .config import RunConfig
 from .errors import (
     ConfigError,
@@ -30,7 +31,6 @@ from .errors import (
     SingularityError,
 )
 from .export import format_float, write_table
-from .special import constants
 
 
 def _warn(message: str) -> None:
@@ -144,8 +144,8 @@ def cmd_constants(cfg: RunConfig, args) -> None:
     p = cfg.physical()
     fmt = lambda v: format_float(v, cfg.precision)
     lines = [
-        f"lambda_star = {fmt(c.lambda_star)}   (B(3/4,1/2)^2 / (2 pi^2), via log-gamma)",
-        f"h_star      = {fmt(c.h_star)}   (sqrt(2 / lambda_star))",
+        f"lambda_star = {fmt(c.lambda_star)}   (1 / K(1/2)^2 = B(3/4,1/2)^2 / (2 pi^2), via the AGM)",
+        f"h_star      = {fmt(c.h_star)}   (sqrt(2 / lambda_star) = sqrt(2) K(1/2))",
         f"gamma_star  = {fmt(p.weight / c.lambda_star)}   (g (rho_plus - rho_minus) / lambda_star)",
         "bifurcation points gamma_bar_l = g (rho_plus - rho_minus) / l^2:",
     ]
@@ -228,8 +228,11 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     if args.sign == "minus":
         prof = branch_mod.negate_profile(prof)
     res_ode, res_mean = branch_mod.residual(prof)
-    xs = np.linspace(0.0, 2.0 * math.pi, cfg.n_samples)
-    f, fp = prof.evaluate(xs)
+    # the samples sit on linspace(0, 2 pi/l, n): x = 2 pi j/(n - 1) is sample l j, modulo the period
+    n = cfg.n_samples
+    xs = np.linspace(0.0, 2.0 * math.pi, n)
+    idx = (l * np.arange(n)) % (n - 1)
+    f, fp = prof.f[idx], prof.f_prime[idx]
     metadata = {
         "kind": "profile",
         "lambda": prof.lam,

@@ -27,8 +27,8 @@ from functools import lru_cache
 
 from . import agm
 from . import period as period_mod
+from .agm import constants
 from .errors import ConvergenceError, DomainError, OutOfRangeError, SaturationError
-from .special import constants
 
 __all__ = [
     "Branch",
@@ -202,7 +202,9 @@ def _dkq_db(b: float, m: float, k: float, s: float) -> float:
 
 
 def _alpha_of_b(b: float) -> float:
-    """The slope sqrt(1 - b^2)/b of b = 1/sqrt(1 + alpha^2), for b > 0."""
+    """The slope sqrt(1 - b^2)/b of b = 1/sqrt(1 + alpha^2); infinite at b = 0."""
+    if b == 0.0:
+        return math.inf
     return math.sqrt((1.0 - b) * (1.0 + b)) / b
 
 

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
+from .agm import constants
 from .elliptic import Arc, complete_integrals
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
 from .ivp import SolutionProfile
 from .quadrature import cumulative_gauss
-from .special import constants
 
 __all__ = [
     "PendulumTrajectory",

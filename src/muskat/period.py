@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 
-from .agm import beta_of_alpha, complete_integrals, one_minus_beta
+from .agm import beta_of_alpha, complete_integrals, constants, one_minus_beta
 from .errors import DomainError
-from .special import constants
 
 __all__ = [
     "beta_of_alpha",

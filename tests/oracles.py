@@ -10,6 +10,10 @@ where composite Gauss-Legendre converges at a spectral rate.
 ``ellipk``, ``ellipe`` and ``ellipj`` are the m-parameter face of the
 library's AGM/Landen kernel, which the tests check against mpmath.
 
+``log_gamma`` and ``beta`` are the log-gamma route to the threshold
+constants, lambda_star = B(3/4, 1/2)^2 / (2 pi^2) and h_star =
+sqrt(2 / lambda_star), which the library takes from the AGM instead.
+
 ``write_csv_cellwise`` and ``write_json_indented`` are the table writers
 as they formatted every cell on its own; the library's writers must give
 their bytes.
@@ -39,6 +43,20 @@ def ellipe(m):
 def ellipj(u, m):
     """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
     return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))
+
+
+def log_gamma(x):
+    """Natural logarithm of the gamma function, x > 0 (the platform ``lgamma``)."""
+    if x <= 0.0:
+        raise ValueError(f"log_gamma requires x > 0, got {x}")
+    return math.lgamma(x)
+
+
+def beta(x, y):
+    """Euler beta function B(x, y) = Gamma(x) Gamma(y) / Gamma(x + y), x, y > 0."""
+    if x <= 0.0 or y <= 0.0:
+        raise ValueError(f"beta requires positive arguments, got ({x}, {y})")
+    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
 
 
 def write_csv_cellwise(fh, metadata, columns, precision):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import muskat
 from muskat import (
@@ -450,6 +451,78 @@ def test_sine_coefficient_converges_on_steep_profiles(a):
     c64 = branch_mod._sine_coefficient(a)
     assert abs(c64 - branch_mod._sine_coefficient(a, n_nodes=128)) <= 1e-15
     assert c64 < branch_mod._sine_coefficient(math.inf)
+
+
+#: the base coefficients l * eps that ``expansion-check --l 1..4`` solves for at its default eps
+DEFAULT_EPS_BASES = sorted({l * e for l in (1, 2, 3, 4) for e in (0.02, 0.04, 0.08)})
+
+
+def _count_coefficients(monkeypatch) -> list:
+    calls = []
+    coefficient = branch_mod._sine_coefficient
+
+    def counted(a, *args):
+        calls.append(a)
+        return coefficient(a, *args)
+
+    monkeypatch.setattr(branch_mod, "_sine_coefficient", counted)
+    return calls
+
+
+def test_expansion_solves_take_few_coefficient_evaluations(monkeypatch):
+    # Newton in b from the small-amplitude start: at most 8 coefficients per
+    # solve where Brent on the slope took 8 to 11
+    calls = _count_coefficients(monkeypatch)
+    for eps_base in DEFAULT_EPS_BASES:
+        assert eps_base <= 0.32
+        calls.clear()
+        branch_mod._lambda_for_coefficient(eps_base)
+        assert 1 <= len(calls) <= 8, (eps_base, len(calls))
+
+
+def test_expansion_solve_against_brent_on_the_slope():
+    # scipy's Brent on the slope a of c(a) = eps, the route expansion-check
+    # took before the Newton in b, as the oracle up to the coefficient's sup;
+    # c is flat to its rounding over a few ulp of lambda, so the two solvers
+    # agree to 1.7e-15 relative, not to the ulp
+    sup = branch_mod._sine_coefficient(math.inf)
+    for eps_base in np.linspace(0.005, sup * (1.0 - 1e-6), 101).tolist():
+        def g(a):
+            return eps_base - branch_mod._sine_coefficient(a)
+
+        hi = 1.0
+        while g(hi) >= 0.0:
+            hi *= 2.0
+        want = branch_mod._lambda_of_alpha(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
+        got = branch_mod._lambda_for_coefficient(eps_base)
+        assert abs(got - want) <= 1.7e-15 * want, eps_base
+
+
+def test_expansion_check_reaches_the_coefficient_sup():
+    # l * eps within 1e-9 of c1(b=0): the root lies at a slope near 1e9,
+    # past the old bracket cap, and a root at b = 0 is lambda_star itself
+    c = muskat.constants()
+    sup = branch_mod._sine_coefficient(math.inf)
+    l = 31
+    eps = (sup - 5e-10) / l
+    assert sup - l * eps <= 1e-9 and eps <= 0.1
+    fit = muskat.expansion_check(P_UNIT, l=l, eps_list=(eps,))
+    gamma_star_l = P_UNIT.weight / c.lambda_star / l**2
+    assert gamma_star_l * (1.0 - 1e-8) < fit.gammas[0] < gamma_star_l
+    assert branch_mod._lambda_for_coefficient(sup) == c.lambda_star
+
+
+def test_newton_in_b_returns_a_root_it_starts_on():
+    for root in (0.0, 0.25, 1.0):
+        assert curve_mod._newton_b(lambda b: (b - root, 1.0), root) == root
+
+
+def test_newton_in_b_step_bound_raises_convergence_error(monkeypatch):
+    # a derivative far too small sends every Newton step out of the bracket,
+    # so the iteration bisects and meets the step bound first
+    monkeypatch.setattr(curve_mod, "MAX_STEPS", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
+        curve_mod._newton_b(lambda b: (b - 1.0 / 3.0, 1e-3), 0.5)
 
 
 def test_coexistence_levels():

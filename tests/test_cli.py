@@ -321,18 +321,19 @@ def test_infinity_in_a_config_file_names_the_field(tmp_path, capsys):
 
 #: sha256 of the scalar commands' files: the table writer and the branch
 #: grid must keep these bytes; the branch rows are the Newton-in-b slope
-#: solves, checked row by row against mpmath below
+#: solves, checked row by row against mpmath below.  lambda_star is the
+#: branch's own b = 0 value, (2 K Q/pi)^2 at m = 1/2 from the AGM
 SCALAR_DIGESTS = {
-    ("constants", "csv"): "365eb7cfc8c7d4ea242ee42525e6538ef6ccd09a8746506b3fceb54a7a246adf",
-    ("constants", "json"): "365eb7cfc8c7d4ea242ee42525e6538ef6ccd09a8746506b3fceb54a7a246adf",
+    ("constants", "csv"): "145e8d5d532f0f2390f52be903f3bb4c6f916595ada4390abe70f214519cac79",
+    ("constants", "json"): "145e8d5d532f0f2390f52be903f3bb4c6f916595ada4390abe70f214519cac79",
     ("classify", "csv"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
     ("classify", "json"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
-    ("branch-touching", "csv"): "2d8feee3fe15675b8e063306ce2920e364aedb55330972b2e5072f53c0657ab6",
-    ("branch-touching", "json"): "c5365c31b4bcf80f46b475ab09291cda9bdd01e6724ffd13a2d8b9915e4dd18c",
-    ("branch-blowup-l3", "csv"): "7b6591f9bc7a2a95c0986b8fcf604c87f40d26e3bae0828fbebc7c1730838b5a",
-    ("branch-blowup-l3", "json"): "f1449664068bbb9b3fa628c0879d8c2492b3210a1370f7e2c342ad5cb1f6e0be",
-    ("coexist", "csv"): "f143f60b4788bad1df4d525a47aa63276214711913475c9b538dbeb23b75c63a",
-    ("coexist", "json"): "f9e29b6237aaf3e392906e7925edb18865e16cf920b96e5322c47a395c3db954",
+    ("branch-touching", "csv"): "33b4ee9622ee55b3dad97ee716f550d92e4e2a39e59e97f7519396973f7f275d",
+    ("branch-touching", "json"): "0d08a534581cb9da8487f176fd02c1d3b5bdb40944b3da485de9c3933ac1db70",
+    ("branch-blowup-l3", "csv"): "6039491d9cbc492a32b724f89effbcb81a2a4e123ee07decb1bc376e9f457114",
+    ("branch-blowup-l3", "json"): "336be0116f185625f75e1777dd8681d81973ce5535e5687943a0b7fc5c2ed635",
+    ("coexist", "csv"): "d8844d5be1e5580a15c326e37d4970dddaaa5c8a26b30ed7bbf64527d915041f",
+    ("coexist", "json"): "284539367ba2ff7dcee40d5da71adb7edcc0102b1e17dfe9572630baa838bee7",
 }
 SCALAR_ARGV = {
     "constants": ["constants"],

@@ -16,21 +16,23 @@ from muskat import branch as branch_mod
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: the names ``muskat`` exported when its ``__init__`` imported every submodule
+#: the names ``muskat`` exported when its ``__init__`` imported every
+#: submodule, less ``beta`` and ``log_gamma``, which left with the log-gamma
+#: route to the constants
 PACKAGE_NAMES = [
     "Branch", "BranchPoint", "ConfigError", "Constants", "ConvergenceError", "DomainError", "EventNotFoundError",
     "ExpansionFit", "IntegrationError", "MuskatError", "OutOfRangeError", "ParityError", "PendulumTrajectory",
     "PhysicalParams", "QuarterProfile", "Regime", "RegimeKind", "RunConfig", "SaturationError", "SingularityError",
-    "SolutionProfile", "State", "alpha_of_lambda", "beta", "beta_of_alpha", "branch_amplitude",
+    "SolutionProfile", "State", "alpha_of_lambda", "beta_of_alpha", "branch_amplitude",
     "coexistence_levels", "constants", "dtheta_dalpha", "energy", "expansion_check", "extend_odd_periodic",
     "fourier_sine_coefficient", "from_pendulum", "gamma_bar", "gamma_of_lambda", "integrate", "lambda_floor",
-    "lambda_h", "lambda_of_gamma", "lambda_of_period", "log_gamma", "max_amplitude", "negate_profile",
+    "lambda_h", "lambda_of_gamma", "lambda_of_period", "max_amplitude", "negate_profile",
     "pendulum_period", "profile_at", "quarter_period", "residual", "scale_profile", "solve_quarter", "theta",
     "theta_limit_infinity", "theta_limit_zero", "to_pendulum", "trace_branch", "translate_even", "zero_profile",
 ]
-#: the submodules that were attributes of the package after ``import muskat``
-PACKAGE_MODULES = ["branch", "config", "elliptic", "errors", "ivp", "pendulum", "period", "quadrature", "roots",
-                   "special"]
+#: the submodules that were attributes of the package after ``import muskat``,
+#: less ``roots`` (the Brent port) and ``special`` (the log-gamma route)
+PACKAGE_MODULES = ["branch", "config", "elliptic", "errors", "ivp", "pendulum", "period", "quadrature"]
 #: ``muskat.branch.__all__`` before the scalar branch moved to ``curve``
 BRANCH_NAMES = [
     "Branch", "BranchPoint", "ExpansionFit", "PhysicalParams", "Regime", "RegimeKind", "alpha_of_lambda",
@@ -86,16 +88,20 @@ def test_public_names_are_their_defining_objects():
     for name in PACKAGE_MODULES:
         assert getattr(muskat, name) is importlib.import_module(f"muskat.{name}")
     assert set(muskat.__all__) <= set(dir(muskat))
-    with pytest.raises(AttributeError, match="no attribute 'alpha_max'"):
-        muskat.alpha_max  # noqa: B018
+    for removed in ("alpha_max", "log_gamma", "beta", "roots", "special"):
+        with pytest.raises(AttributeError, match=f"no attribute '{removed}'"):
+            getattr(muskat, removed)
+    for removed in ("roots", "special"):
+        assert importlib.util.find_spec(f"muskat.{removed}") is None
     with pytest.raises(ImportError):
         from muskat import not_a_name  # noqa: F401
 
 
 def test_branch_keeps_its_names_as_the_scalar_objects():
     curve_mod = importlib.import_module("muskat.curve")
-    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL", "_lambda_of_alpha", "_slope_root"]:
+    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL", "_lambda_of_alpha"]:
         assert hasattr(branch_mod, name), name
+    assert not hasattr(branch_mod, "_slope_root")  # expansion-check solves in b
     for name in curve_mod.__all__:
         if name != "max_amplitude":
             assert getattr(branch_mod, name) is getattr(curve_mod, name), name
