@@ -1,14 +1,15 @@
 """Complete elliptic integrals by the arithmetic-geometric mean, in scalar math.
 
 K and E come from the AGM of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
-and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6); ``ellipkm1`` gives K(1 - m)
-the same way.  The AGM takes c_(n+1) = c_n^2 / (4 a_(n+1)), which equals
-(a_n - b_n)/2 without its cancellation, so c falls monotonically to zero
-and the loop ends once it is below the rounding of a (five steps for
-m <= 1/2).  ``complete_integrals`` feeds the AGM sqrt((1 + b)/2) and
-sqrt((1 - b)/2) directly, with 1 - b from ``one_minus_beta``.  This module
-imports only ``math``, so the scalar branch and the commands built on it
-load no numpy; ``elliptic`` runs the Landen recurrence on the same rows.
+and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).  The AGM takes
+c_(n+1) = c_n^2 / (4 a_(n+1)), which equals (a_n - b_n)/2 without its
+cancellation, so c falls monotonically to zero and the loop ends once it
+is below the rounding of a (five steps for m <= 1/2).
+``complete_integrals`` feeds the AGM sqrt((1 + b)/2) and sqrt((1 - b)/2)
+directly, with 1 - b from ``one_minus_beta``.  This module imports only
+``math``, so the scalar branch and the commands built on it load no
+numpy; ``elliptic`` runs the Landen recurrence on the same rows, and that
+sweep also gives the Jacobi zeta function, so no AGM of 1 - m is needed.
 
 The threshold constants are the b = 0 (m = 1/2) end of the branch, from
 the same AGM: with 2E - K = pi/(2K) at m = 1/2 (Legendre's relation),
@@ -23,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["Constants", "beta_of_alpha", "complete_integrals", "constants", "ellipkm1", "one_minus_beta"]
+__all__ = ["Constants", "beta_of_alpha", "complete_integrals", "constants", "one_minus_beta"]
 
 _EPS = sys.float_info.epsilon
 
@@ -87,13 +88,6 @@ def _arc_agm(alpha: float) -> tuple[list[float], list[float], float]:
 def complete_integrals(alpha: float) -> tuple[float, float, float]:
     """K(m), S = 1 - E(m)/K(m) and Q = (2 E(m) - K(m))/K(m) at m = (1 - b)/2, from one AGM."""
     return _complete(*_arc_agm(alpha))
-
-
-def ellipkm1(m: float) -> float:
-    """K(1 - m), 0 <= m < 1; infinite at m = 0."""
-    if m == 0.0:
-        return math.inf
-    return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
 
 
 @dataclass(frozen=True)

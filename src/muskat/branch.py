@@ -83,8 +83,7 @@ def _on_period_grid(s: SolutionProfile) -> bool:
 
 def _roll_closed(v: np.ndarray, k: int) -> np.ndarray:
     """Closed-grid samples shifted by k steps: v[k], ..., v[n - 2], v[0], ..., v[k]."""
-    rolled = np.roll(v[:-1], -k)
-    return np.append(rolled, rolled[0])
+    return np.concatenate((v[k:-1], v[: k + 1]))
 
 
 def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
@@ -195,7 +194,9 @@ def residual(s: SolutionProfile) -> tuple[float, float]:
     x, f, fp = s.x, s.f, s.f_prime
     step = x[1] - x[0]
     fi, gi = f[:-1], fp[:-1]
-    f2 = (np.roll(fi, -1) - 2.0 * fi + np.roll(fi, 1)) / step**2
+    after = np.concatenate((fi[1:], fi[:1]))
+    before = np.concatenate((fi[-1:], fi[:-1]))
+    f2 = (after - 2.0 * fi + before) / step**2
     res = f2 / (1.0 + gi * gi) ** 1.5 + s.lam * fi
     mean = np.trapezoid(f, x) / s.period
     return float(np.max(np.abs(res))), float(abs(mean))

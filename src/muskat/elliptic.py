@@ -6,23 +6,19 @@ u = sqrt(lam) s, is
 
     f(u)  = 2 sqrt(m) cn(u|m) / sqrt(lam),
     f'(u) = -2 sqrt(m) sn dn / (1 - 2 m sn^2),
-    x(u)  = (2 E(am u|m) - u) / sqrt(lam) = (2 (E u / K + Z(u)) - u) / sqrt(lam),
+    x(u)  = (2 E(am u|m) - u) / sqrt(lam) = (Q u + 2 Z(u)) / sqrt(lam),
 
 with b = 1/sqrt(1 + alpha^2), parameter m = (1 - b)/2 < 1/2, K = K(m),
-E = E(m) and the Jacobi zeta function Z.  The same arc is the pendulum
-swing theta = -2 asin(sqrt(m) sn(u|m)), theta' = -2 sqrt(lam m) cn(u|m)
-with amplitude arctan(alpha) and period L = 4 K / sqrt(lam); the crest
-lies (2 E - K)/sqrt(lam) in x from the zero crossing (DLMF §22.2, §22.16;
-Byrd & Friedman, Handbook of Elliptic Integrals).
+E = E(m), Q = (2 E - K)/K and the Jacobi zeta function Z.  The same arc
+is the pendulum swing theta = -2 asin(sqrt(m) sn(u|m)),
+theta' = -2 sqrt(lam m) cn(u|m) with amplitude arctan(alpha) and period
+L = 4 K / sqrt(lam); the crest lies (2 E - K)/sqrt(lam) in x from the
+zero crossing (DLMF §22.2, §22.16; Byrd & Friedman, Handbook of Elliptic
+Integrals).
 
 The slope's denominator is evaluated as b + 2 m cn^2, which equals
 1 - 2 m sn^2 but keeps its digits at the zero crossing, where it falls to
-b.  Z is summed from its nome series
-
-    Z(u) = (2 pi / K) sum_n q^n / (1 - q^(2n)) sin(n pi u / K),
-    q = exp(-pi K(1 - m) / K(m)) <= exp(-pi),
-
-so twelve terms reach 1e-17.
+b.
 
 K and E come from the arithmetic-geometric mean of ``agm``, which
 imports only ``math``.  The Jacobi functions run the same AGM and then the
@@ -30,9 +26,11 @@ descending Landen recurrence
 phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
 down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
 cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
-where the textbook cn / cos(phi_1 - phi_0) does not.  ``Arc`` reuses the
-AGM rows of ``agm._arc_agm`` for the Landen recurrence, so its K, E and
-Jacobi functions come from one AGM.
+where the textbook cn / cos(phi_1 - phi_0) does not.  The same sweep sums
+Z(u) = sum_(n>=1) c_n sin(phi_n) (A&S 17.6) from the sines it already
+takes, so x(u) costs one multiply-add per step on top of sn, cn and dn.
+``Arc`` reuses the AGM rows of ``agm._arc_agm`` for the Landen recurrence,
+so its K, Q, x(u) and Jacobi functions come from one AGM and one sweep.
 """
 
 from __future__ import annotations
@@ -43,25 +41,27 @@ from functools import cached_property
 import numpy as np
 
 from .agm import (  # noqa: F401  (the kernel, re-exported)
-    _agm, _arc_agm, _complete, beta_of_alpha, complete_integrals, ellipkm1, one_minus_beta,
+    _agm, _arc_agm, _complete, beta_of_alpha, complete_integrals, one_minus_beta,
 )
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["Arc", "beta_of_alpha", "complete_integrals", "one_minus_beta"]
 
-ZETA_TERMS = 12
 TABLE_NODES = 129
 MAX_NEWTON = 64
 
 
 def _landen(u, m: float, a_s: list[float], c_s: list[float]):
-    """(sn, cn, dn)(u|m) by the descending Landen recurrence on the AGM rows of m."""
+    """(sn, cn, dn, Z)(u|m) by the descending Landen recurrence on the AGM rows of m."""
     n = len(a_s) - 1
     phi = (2.0**n * a_s[-1]) * np.asarray(u, dtype=float)
+    zeta = 0.0
     for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
-        phi = 0.5 * (phi + np.arcsin((c / a) * np.sin(phi)))
+        s = np.sin(phi)
+        zeta = zeta + c * s
+        phi = 0.5 * (phi + np.arcsin((c / a) * s))
     sn = np.sin(phi)
-    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn), zeta
 
 
 class Arc:
@@ -81,39 +81,34 @@ class Arc:
         self.alpha = alpha
         self.b = beta_of_alpha(alpha)
         *self._rows, self.m = _arc_agm(alpha)
-        self.K, tail, ratio = _complete(*self._rows, self.m)
-        self.E = self.K * (1.0 - tail)
+        self.K, _, self._ratio = _complete(*self._rows, self.m)
         self.root_lam = math.sqrt(lam)
-        self.quarter = self.K * ratio / self.root_lam
+        self.quarter = self.K * self._ratio / self.root_lam
         self.length = 4.0 * self.K / self.root_lam
-        q = math.exp(-math.pi * ellipkm1(self.m) / self.K)
-        n = np.arange(1, ZETA_TERMS + 1)
-        n = n[q**n > 1e-18]
-        self._wave = n * (math.pi / self.K)
-        self._zeta = (2.0 * math.pi / self.K) * q**n / (1.0 - q ** (2 * n))
 
     @cached_property
     def _table(self):
         """(u, x(u), dx/du) on TABLE_NODES uniform nodes of [0, K]: the inversion's start.
 
         The end abscissae are pinned to their closed forms 0 and ``quarter``,
-        so x = quarter starts (and, within the rounding of the zeta sum,
-        stays) at u = K exactly: near b = 0, dx/du = b/sqrt(lam) there, and
-        an ulp of x moves u, and so f', by about 1/b ulps.
+        so x = quarter starts (and, within the rounding of the Landen zeta
+        sum, stays) at u = K exactly: near b = 0, dx/du = b/sqrt(lam) there,
+        and an ulp of x moves u, and so f', by about 1/b ulps.
         """
         u = np.linspace(0.0, self.K, TABLE_NODES)
-        x = self.x(u)
+        x, _, cn, _ = self._sweep(u)
         x[0], x[-1] = 0.0, self.quarter
-        return u, x, self._dxdu(self._jacobi(u)[1])
+        return u, x, self._dxdu(cn)
 
-    def _jacobi(self, u):
-        return _landen(u, self.m, *self._rows)
+    def _sweep(self, u):
+        """(x, sn, cn, dn) at u from one Landen sweep."""
+        u = np.asarray(u, dtype=float)
+        sn, cn, dn, zeta = _landen(u, self.m, *self._rows)
+        return (self._ratio * u + 2.0 * zeta) / self.root_lam, sn, cn, dn
 
     def x(self, u):
         """Abscissa of the point at u, measured from the crest."""
-        u = np.asarray(u, dtype=float)
-        zeta = np.sin(np.multiply.outer(u, self._wave)) @ self._zeta
-        return (2.0 * (self.E / self.K * u + zeta) - u) / self.root_lam
+        return self._sweep(u)[0]
 
     def _dxdu(self, cn):
         return (self.b + 2.0 * self.m * cn * cn) / self.root_lam
@@ -124,11 +119,11 @@ class Arc:
 
     def profile(self, u):
         """(f, f') of the even profile, crest up, at u."""
-        return self._profile(*self._jacobi(u))
+        return self._profile(*self._sweep(u)[1:])
 
     def swing(self, u):
         """(theta, theta') of the pendulum swing at u, starting from the crest."""
-        sn, cn, _ = self._jacobi(u)
+        _, sn, cn, _ = self._sweep(u)
         return -2.0 * np.arcsin(math.sqrt(self.m) * sn), -2.0 * math.sqrt(self.lam * self.m) * cn
 
     def cosine_coefficient(self, n_nodes: int = 64) -> float:
@@ -141,10 +136,10 @@ class Arc:
         geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
         """
         u = np.arange(n_nodes) * (4.0 * self.K / n_nodes)
-        cn = self._jacobi(u)[1]
+        x, _, cn, _ = self._sweep(u)
         f = 2.0 * math.sqrt(self.m) * cn / self.root_lam
         w = 0.5 * math.pi / self.quarter
-        terms = f * np.cos(w * self.x(u)) * self._dxdu(cn)
+        terms = f * np.cos(w * x) * self._dxdu(cn)
         return 2.0 * self.K / (n_nodes * self.quarter) * float(np.sum(terms))
 
     def rising_quarter(self, x):
@@ -182,26 +177,22 @@ class Arc:
             + t * (1.0 - t) * ((1.0 - t) * m0 - t * m1)
         )
         u = np.clip(u, lo, hi)
-        sn, cn, dn = np.empty_like(u), np.empty_like(u), np.empty_like(u)
         tol_x = 8.0 * np.finfo(float).eps * self.K / self.root_lam
         tol_u = 4.0 * np.finfo(float).eps * self.K
-        todo = np.arange(x.size)
+        going = np.ones(x.size, dtype=bool)
         for _ in range(MAX_NEWTON):
-            ut = u[todo]
-            resid = self.x(ut) - x[todo]
-            sn[todo], cn[todo], dn[todo] = self._jacobi(ut)
-            step = resid / self._dxdu(cn[todo])
-            lo_t = np.where(resid < 0.0, ut, lo[todo])
-            hi_t = np.where(resid > 0.0, ut, hi[todo])
-            lo[todo], hi[todo] = lo_t, hi_t
-            new = ut - step
-            new = np.where((new < lo_t) | (new > hi_t), 0.5 * (lo_t + hi_t), new)
-            going = (np.abs(resid) > tol_x) & (np.abs(step) > tol_u)
-            u[todo] = np.where(going, new, ut)
-            todo = todo[going]
-            if todo.size == 0:
+            xu, sn, cn, dn = self._sweep(u)
+            resid = xu - x
+            step = resid / self._dxdu(cn)
+            going &= (np.abs(resid) > tol_x) & (np.abs(step) > tol_u)
+            if not going.any():
                 return u.reshape(shape), sn.reshape(shape), cn.reshape(shape), dn.reshape(shape)
+            lo = np.where(resid < 0.0, u, lo)
+            hi = np.where(resid > 0.0, u, hi)
+            new = u - step
+            new = np.where((new < lo) | (new > hi), 0.5 * (lo + hi), new)
+            u = np.where(going, new, u)
         raise ConvergenceError(
             f"arc inversion did not converge in {MAX_NEWTON} Newton steps "
-            f"at {todo.size} abscissae (lambda={self.lam:.12g}, alpha={self.alpha:.6g})"
+            f"at {np.count_nonzero(going)} abscissae (lambda={self.lam:.12g}, alpha={self.alpha:.6g})"
         )

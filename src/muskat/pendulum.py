@@ -98,6 +98,14 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
     )
 
 
+def _hermite_coefficients(x, y, dydx):
+    """(c2, c3) of the Hermite cubics y[j] + dydx[j] d + c2[j] d^2 + c3[j] d^3, d = t - x[j]."""
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
+    return (slope - dydx[:-1]) / h - t3, t3 / h
+
+
 def _hermite(x, y, dydx):
     """Piecewise cubic Hermite interpolant through (x, y) with slopes dydx.
 
@@ -106,15 +114,11 @@ def _hermite(x, y, dydx):
     powers of t - x[j]) are those of scipy.interpolate.CubicHermiteSpline.
     """
     x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    t3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
-    c3 = t3 / h
-    c2 = (slope - dydx[:-1]) / h - t3
+    c2, c3 = _hermite_coefficients(x, y, dydx)
 
     def ev(t):
         t = np.asarray(t, dtype=float)
-        j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, h.size - 1)
+        j = np.clip(np.searchsorted(x, t, side="right") - 1, 0, c2.size - 1)
         d = t - x[j]
         d2 = d * d
         value = y[j] + dydx[j] * d + c2[j] * d2 + c3[j] * (d2 * d)
@@ -129,8 +133,9 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
     Interpolates theta by a Hermite spline (the sampled theta' are the
     exact knot derivatives), accumulates z(s) = int cos(theta), and reads
     the profile from f(z(s)) = -theta'(s)/lam, f'(z(s)) = tan(theta(s)).
-    Refuses swings that come within 1e-6 of |theta| = pi/2, where the
-    tangent map degenerates.
+    The Gauss nodes of interval k come as row k, so each row evaluates
+    interval k's cubic with no search.  Refuses swings that come within
+    1e-6 of |theta| = pi/2, where the tangent map degenerates.
     """
     lam = traj.lam
     margin = 0.5 * math.pi - float(np.max(np.abs(traj.theta)))
@@ -138,16 +143,18 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
         raise SingularityError(
             f"pendulum angle within {margin:.3e} of pi/2; tangent map refused"
         )
-    th_spline = _hermite(traj.s, traj.theta, traj.theta_prime)
+    s, theta, theta_prime = (np.asarray(v, dtype=float) for v in (traj.s, traj.theta, traj.theta_prime))
+    c2, c3 = _hermite_coefficients(s, theta, theta_prime)
+    s0, th0, tp0, c2, c3 = (v[:, None] for v in (s[:-1], theta[:-1], theta_prime[:-1], c2, c3))
 
-    def cos_theta(ss):
-        return np.cos(th_spline(ss)[0])
+    def cos_theta(nodes):
+        d = nodes - s0
+        d2 = d * d
+        return np.cos(th0 + tp0 * d + c2 * d2 + c3 * (d2 * d))
 
-    z_knots = cumulative_gauss(cos_theta, traj.s)
+    z_knots = cumulative_gauss(cos_theta, s)
     T = float(z_knots[-1])
-    f_knots = -np.asarray(traj.theta_prime, dtype=float) / lam
-    fp_knots = np.tan(np.asarray(traj.theta, dtype=float))
-    prof_spline = _hermite(z_knots, f_knots, fp_knots)
+    prof_spline = _hermite(z_knots, -theta_prime / lam, np.tan(theta))
 
     def ev(x):
         return prof_spline(np.mod(np.atleast_1d(np.asarray(x, dtype=float)), T))

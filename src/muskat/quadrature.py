@@ -5,7 +5,8 @@ Endpoint singularities are removed analytically by the callers (e.g. the
 suite), so a panel-doubling Gauss rule with a Richardson-style stopping
 estimate is all that is needed here.  ``gauss_panels`` serves the generic
 ``branch.fourier_sine_coefficient`` and the test oracles; ``cumulative_gauss``
-serves ``pendulum.from_pendulum``.
+serves ``pendulum.from_pendulum``, whose integrand is a different cubic on
+each interval, so it hands the integrand its nodes one interval per row.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ def cumulative_gauss(fn, knots, n_nodes=8):
 
     Returns an array c with c[0] = 0 and c[k] = integral from knots[0] to
     knots[k].  The knots need not be uniformly spaced but must increase.
+    ``fn`` gets the nodes as an (n_intervals, n_nodes) array whose row k
+    lies on [knots[k], knots[k + 1]], and returns its values in that shape.
     """
     knots = np.asarray(knots, dtype=float)
     x, w = _nodes(n_nodes)
     a, b = knots[:-1], knots[1:]
     half = 0.5 * (b - a)
     mids = 0.5 * (a + b)
-    nodes = mids[:, None] + half[:, None] * x[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
+    vals = fn(mids[:, None] + half[:, None] * x[None, :])
     out = np.empty(knots.size, dtype=float)
     out[0] = 0.0
     np.cumsum(half * (vals @ w), out=out[1:])

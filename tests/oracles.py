@@ -9,6 +9,8 @@ where composite Gauss-Legendre converges at a spectral rate.
 
 ``ellipk``, ``ellipe`` and ``ellipj`` are the m-parameter face of the
 library's AGM/Landen kernel, which the tests check against mpmath.
+``ellipkm1`` and ``zeta_nome`` are the nome-series route to the Jacobi
+zeta function, which the library sums in its Landen sweep instead.
 
 ``log_gamma`` and ``beta`` are the log-gamma route to the threshold
 constants, lambda_star = B(3/4, 1/2)^2 / (2 pi^2) and h_star =
@@ -42,7 +44,27 @@ def ellipe(m):
 
 def ellipj(u, m):
     """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
-    return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))
+    return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))[:3]
+
+
+def ellipkm1(m):
+    """K(1 - m), 0 <= m < 1; infinite at m = 0."""
+    if m == 0.0:
+        return math.inf
+    return _complete(*_agm(math.sqrt(m), math.sqrt(1.0 - m)), 1.0 - m)[0]
+
+
+def zeta_nome(u, m, terms=12):
+    """Jacobi zeta Z(u|m) = (2 pi/K) sum_n q^n/(1 - q^(2n)) sin(n pi u/K), q = exp(-pi K(1-m)/K(m)).
+
+    q <= exp(-pi) for m <= 1/2, so twelve terms reach 1e-17.
+    """
+    k = ellipk(m)
+    q = math.exp(-math.pi * ellipkm1(m) / k)
+    n = np.arange(1, terms + 1)
+    n = n[q**n > 1e-18]
+    coef = (2.0 * math.pi / k) * q**n / (1.0 - q ** (2 * n))
+    return np.sin(np.multiply.outer(np.asarray(u, dtype=float), n * (math.pi / k))) @ coef
 
 
 def log_gamma(x):

@@ -10,7 +10,7 @@ import muskat
 from muskat import ConvergenceError, DomainError
 from muskat import elliptic
 from muskat.elliptic import Arc
-from oracles import ellipe, ellipj, ellipk
+from oracles import ellipe, ellipj, ellipk, ellipkm1, zeta_nome
 
 ORACLE_DPS = 32
 EPS = np.finfo(float).eps
@@ -54,12 +54,12 @@ def test_complete_integrals_against_mpmath(ms, dps):
             assert abs(ellipk(m) / mpmath.ellipk(M) - 1) <= 3 * EPS, m
             assert abs(ellipe(m) / mpmath.ellipe(M) - 1) <= 3 * EPS, m
             if m > 0.0:
-                assert abs(elliptic.ellipkm1(m) / mpmath.ellipk(1 - M) - 1) <= 3 * EPS, m
+                assert abs(ellipkm1(m) / mpmath.ellipk(1 - M) - 1) <= 3 * EPS, m
 
 
 def test_complete_integrals_at_the_ends():
     assert ellipk(0.0) == ellipe(0.0) == math.pi / 2
-    assert elliptic.ellipkm1(0.0) == math.inf
+    assert ellipkm1(0.0) == math.inf
 
 
 @pytest.mark.parametrize("m", [1e-3, 0.25, 0.5 - 1e-9, 0.5])
@@ -139,6 +139,18 @@ def test_arc_against_oracle_on_graded_grid(m_target):
     assert err_x <= 1e-14
     assert err_f <= 1e-14
     assert err_fp <= 1e-9
+
+
+@pytest.mark.parametrize("m_target", [1e-3, 0.25, 0.5 - 1e-9])
+def test_abscissa_against_nome_series(m_target):
+    # the Landen-sweep zeta against the nome series, on the quarter graded
+    # toward u = K and on [K, 4K], whose end lies at x = 4 quarter
+    arc = _arc_with_parameter(m_target)
+    t = np.linspace(0.0, 1.0, 4001)
+    u = np.concatenate([arc.K * (1.0 - (1.0 - t) ** 3), arc.K * (1.0 + 3.0 * t)])
+    ref = (2.0 * (ellipe(arc.m) / ellipk(arc.m) * u + zeta_nome(u, arc.m)) - u) / arc.root_lam
+    assert np.max(np.abs(arc.x(u) - ref)) <= 1e-14
+    assert arc.x(4.0 * arc.K) == pytest.approx(4.0 * arc.quarter, abs=1e-14)
 
 
 def test_arc_closed_forms():

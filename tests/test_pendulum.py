@@ -12,6 +12,7 @@ import muskat
 from muskat import DomainError, OutOfRangeError, ParityError, SingularityError
 from muskat import branch as branch_mod
 from muskat import pendulum as pendulum_mod
+from muskat.elliptic import Arc
 from muskat.quadrature import cumulative_gauss
 
 
@@ -84,6 +85,23 @@ def test_round_trip_swing_to_profile_to_swing():
         rebuilt = muskat.to_pendulum(muskat.from_pendulum(traj, n_samples=1024), n_samples=1024)
         assert np.max(np.abs(rebuilt.theta - traj.theta)) <= 1e-6
         assert rebuilt.period_L == pytest.approx(traj.period_L, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam", [0.5, 0.9])
+def test_round_trip_from_a_swing_on_non_uniform_arc_length(lam):
+    # knots crowd at the crest and thin out at the zero crossings, so the
+    # swing integral meets intervals of a 5:1 length ratio
+    even = even_profile(lam)
+    arc = Arc(lam, even.alpha)
+    t = np.linspace(0.0, 1.0, 1024)
+    s = arc.length * (t - np.sin(4.0 * math.pi * t) / (6.0 * math.pi))
+    theta, theta_prime = arc.swing(arc.root_lam * s)
+    traj = muskat.PendulumTrajectory(
+        lam=lam, s=s, theta=theta, theta_prime=theta_prime, period_L=arc.length, theta_max=math.atan(even.alpha)
+    )
+    back = muskat.from_pendulum(traj, n_samples=1024)
+    assert np.max(np.abs(back.f - even.evaluate(back.x)[0])) <= 1e-6
+    assert back.period == pytest.approx(even.period, abs=1e-8)
 
 
 def test_arclength_and_abscissa_are_mutual_inverses():
