@@ -1,20 +1,25 @@
-"""Complete elliptic integrals by the arithmetic-geometric mean, in scalar math.
+"""The modulus of a slope and its complete elliptic integrals, in scalar math.
+
+With b = 1/sqrt(1 + alpha^2) and m = (1 - b)/2, every quantity the branch
+attaches to a slope alpha is a closed form in K(m) and E(m) (DLMF §19.8).
+``Modulus`` is the record of one m and of the one AGM run there, built
+from a slope or from b; ``elliptic.Arc`` runs the Landen recurrence, which
+also gives the Jacobi zeta function, on its rows.
 
 K and E come from the AGM of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
 and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).  The AGM takes
 c_(n+1) = c_n^2 / (4 a_(n+1)), which equals (a_n - b_n)/2 without its
 cancellation, so c falls monotonically to zero and the loop ends once it
-is below the rounding of a (five steps for m <= 1/2).
-``complete_integrals`` feeds the AGM sqrt((1 + b)/2) and sqrt((1 - b)/2)
-directly, with 1 - b from ``one_minus_beta``.  This module imports only
-``math``, so the scalar branch and the commands built on it load no
-numpy; ``elliptic`` runs the Landen recurrence on the same rows, and that
-sweep also gives the Jacobi zeta function, so no AGM of 1 - m is needed.
+is below the rounding of a (five steps for m <= 1/2).  The record feeds
+it sqrt((1 + b)/2) and sqrt(m), with m = (1 - b)/2 exact from b, or from
+1 - b = ``one_minus_beta(alpha)`` for a slope, so m is never formed by a
+rounded subtraction.  This module imports only ``math``, so the scalar
+branch and the commands built on it load no numpy.
 
-The threshold constants are the b = 0 (m = 1/2) end of the branch, from
-the same AGM: with 2E - K = pi/(2K) at m = 1/2 (Legendre's relation),
-lambda_star = (2 K Q/pi)^2 = 1/K(1/2)^2, h_star = sqrt(2) K(1/2) and
-B(3/4, 1/2) = pi sqrt(2)/K(1/2).
+The threshold constants are the record of b = 0 (m = 1/2), the blow-up
+end of the branch: with 2E - K = pi/(2K) at m = 1/2 (Legendre's
+relation), lambda_star = (2 K Q/pi)^2 = 1/K(1/2)^2, h_star = sqrt(2) K(1/2)
+and B(3/4, 1/2) = pi sqrt(2)/K(1/2).
 """
 
 from __future__ import annotations
@@ -23,8 +28,9 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-__all__ = ["Constants", "beta_of_alpha", "complete_integrals", "constants", "one_minus_beta"]
+__all__ = ["Constants", "Modulus", "alpha_of_beta", "beta_of_alpha", "constants", "one_minus_beta"]
 
 _EPS = sys.float_info.epsilon
 
@@ -35,6 +41,13 @@ def beta_of_alpha(alpha: float) -> float:
         return 1.0 / math.sqrt(1.0 + alpha * alpha)
     inv = 1.0 / alpha
     return inv / math.sqrt(1.0 + inv * inv)
+
+
+def alpha_of_beta(b: float) -> float:
+    """The slope sqrt(1 - b^2)/b of b = 1/sqrt(1 + alpha^2); infinite at b = 0."""
+    if b == 0.0:
+        return math.inf
+    return math.sqrt((1.0 - b) * (1.0 + b)) / b
 
 
 def one_minus_beta(alpha: float) -> float:
@@ -69,25 +82,48 @@ def _complete(a_s: list[float], c_s: list[float], m: float) -> tuple[float, floa
     """
     k = math.pi / (2.0 * a_s[-1])
     t = [2.0**n * c * c for n, c in enumerate(c_s[1:], 1)]
-    return k, 0.5 * math.fsum([m, *t]), math.fsum([1.0, -m, *(-x for x in t)])
+    return k, 0.5 * math.fsum([m, *t]), math.fsum([1.0, -m] + [-x for x in t])
 
 
-def _arc_agm(alpha: float) -> tuple[list[float], list[float], float]:
-    """The AGM rows of m = (1 - b)/2, b = beta_of_alpha(alpha), and m.
+class Modulus(NamedTuple):
+    """The modulus m = (1 - b)/2 of a slope alpha: its AGM rows, K(m), S = 1 - E/K and Q = (2E - K)/K."""
 
-    Starts from sqrt(1 - m) = sqrt((1 + b)/2) and sqrt(m) = sqrt((1 - b)/2)
-    with 1 - b from ``one_minus_beta``, so m is never formed from b by a
-    rounded subtraction.
-    """
-    b = beta_of_alpha(alpha)
-    m = 0.5 * one_minus_beta(alpha)
+    alpha: float
+    b: float
+    m: float
+    a_s: list[float]
+    c_s: list[float]
+    K: float
+    S: float
+    Q: float
+
+    @staticmethod
+    def of_alpha(alpha: float) -> Modulus:
+        """The record of slope alpha, with 1 - b from ``one_minus_beta``."""
+        return _modulus(alpha, beta_of_alpha(alpha), 0.5 * one_minus_beta(alpha))
+
+    @staticmethod
+    def of_b(b: float) -> Modulus:
+        """The record of b in [0, 1], where m = (1 - b)/2 is exact."""
+        return _modulus(alpha_of_beta(b), b, 0.5 * (1.0 - b))
+
+    @property
+    def lam(self) -> float:
+        """The lam with quarter period K Q/sqrt(lam) = pi/2, clipped to 1 (K Q rounds above pi/2 for tiny m)."""
+        return min((2.0 * (self.K * self.Q) / math.pi) ** 2, 1.0)
+
+    def dkq_db(self, b: float) -> float:
+        """d(2E - K)/db = K (m + b S)/(4 m (1 - m)) (3K/8 at m = 0) at a solve's own b, not beta(alpha(b))."""
+        m = self.m
+        if m == 0.0:
+            return 0.375 * self.K
+        return self.K * (m + b * self.S) / (4.0 * m * (1.0 - m))
+
+
+def _modulus(alpha: float, b: float, m: float) -> Modulus:
     a_s, c_s = _agm(math.sqrt(0.5 * (1.0 + b)), math.sqrt(m))
-    return a_s, c_s, m
-
-
-def complete_integrals(alpha: float) -> tuple[float, float, float]:
-    """K(m), S = 1 - E(m)/K(m) and Q = (2 E(m) - K(m))/K(m) at m = (1 - b)/2, from one AGM."""
-    return _complete(*_arc_agm(alpha))
+    # tuple.__new__ skips the generated __new__, a few percent of a Newton solve
+    return tuple.__new__(Modulus, (alpha, b, m, a_s, c_s, *_complete(a_s, c_s, m)))
 
 
 @dataclass(frozen=True)
@@ -113,10 +149,10 @@ class Constants:
 
 @lru_cache(maxsize=1)
 def constants() -> Constants:
-    """Compute (once) lambda_star, h_star and B(3/4, 1/2) from K(1/2) and Q(1/2)."""
-    k, _, q = complete_integrals(math.inf)
+    """Compute (once) lambda_star, h_star and B(3/4, 1/2) from the record of b = 0."""
+    end = Modulus.of_b(0.0)
     return Constants(
-        lambda_star=(2.0 * (k * q) / math.pi) ** 2,
-        h_star=math.sqrt(2.0) * k,
-        beta_3_4_1_2=math.pi * math.sqrt(2.0) / k,
+        lambda_star=end.lam,
+        h_star=math.sqrt(2.0) * end.K,
+        beta_3_4_1_2=math.pi * math.sqrt(2.0) / end.K,
     )

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elliptic, ivp
+from .agm import Modulus
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
-    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _alpha_of_b, _dkq_db,
-    _integrals_of_b, _lambda_of_alpha, _newton_b, alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar,
-    gamma_of_lambda, lambda_floor, lambda_h, lambda_of_gamma, trace_branch,
+    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda, _newton_b,
+    alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
+    lambda_of_gamma, trace_branch,
 )
 from .errors import DomainError, OutOfRangeError, ParityError
 from .ivp import SolutionProfile
@@ -50,12 +51,12 @@ __all__ = [
 ]
 
 
-def _profile(lam: float, a: float, n_samples: int) -> SolutionProfile:
-    """The odd 2*pi profile of the branch point (lam, a), a = alpha(lam)."""
-    if a == 0.0:
+def _profile(lam: float, mod: Modulus, n_samples: int) -> SolutionProfile:
+    """The odd 2*pi profile of the branch point at lam, from the record ``mod`` of its slope."""
+    if mod.alpha == 0.0:
         return ivp.zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
-    arc = elliptic.Arc(lam, a)
-    q = ivp.QuarterProfile(lam=lam, alpha=a, theta_end=arc.quarter, dense=arc.rising_quarter)
+    arc = elliptic.Arc(lam, mod)
+    q = ivp.QuarterProfile(lam=lam, alpha=mod.alpha, theta_end=arc.quarter, dense=arc.rising_quarter)
     return ivp.extend_odd_periodic(q, n_samples=n_samples)
 
 
@@ -63,11 +64,12 @@ def profile_at(lam: float, n_samples: int = 513) -> SolutionProfile:
     """The odd minimal-period-2*pi profile at lam in (lambda_star, 1].
 
     Solves alpha(lam), takes the quarter arc in closed form (the Jacobi
-    arc of ``elliptic.Arc``), and extends it by odd reflection; the period
-    4 (2E - K)/sqrt(lam) equals 2*pi to rounding.  Propagates
-    OutOfRangeError / SaturationError from the slope solve.
+    arc of ``elliptic.Arc``, from the slope solve's record), and extends
+    it by odd reflection; the period 4 (2E - K)/sqrt(lam) equals 2*pi to
+    rounding.  Propagates OutOfRangeError / SaturationError from the slope
+    solve.
     """
-    return _profile(lam, alpha_of_lambda(lam), n_samples)
+    return _profile(lam, _modulus_of_lambda(lam), n_samples)
 
 
 def _require_dense(s: SolutionProfile):
@@ -235,15 +237,15 @@ class ExpansionFit:
     ratios: tuple[float, ...]
 
 
-def _sine_coefficient(a: float, n_nodes: int = 64) -> float:
-    """First sine coefficient of the odd branch profile of slope a.
+def _sine_coefficient(mod: Modulus, n_nodes: int = 64) -> float:
+    """First sine coefficient of the odd branch profile of the record ``mod``.
 
-    The odd profile is the even arc of (lambda_of_alpha(a), a) shifted by a
-    quarter period, so this is the arc's first cosine coefficient, by the
-    periodic trapezoid rule in u (``Arc.cosine_coefficient``).  It rises
-    with a to its sup at a = inf (b = 0), about 3.066268.
+    The odd profile is the even arc of (mod.lam, mod) shifted by a quarter
+    period, so this is the arc's first cosine coefficient, by the periodic
+    trapezoid rule in u (``Arc.cosine_coefficient``).  It rises with the
+    slope to its sup at b = 0, about 3.066268.
     """
-    return elliptic.Arc(_lambda_of_alpha(a), a).cosine_coefficient(n_nodes)
+    return elliptic.Arc(mod.lam, mod).cosine_coefficient(n_nodes)
 
 
 def _lambda_for_coefficient(eps_base: float) -> float:
@@ -254,21 +256,23 @@ def _lambda_for_coefficient(eps_base: float) -> float:
     (KQ)^2 eps^2 - pi^2 m (c/A)^2 = (KQ)^2 (eps^2 - c^2), with
     A^2 = pi^2 m/(KQ)^2.  c has no closed-form derivative, so the
     derivative treats (c/A)^2 as constant (1 at m = 0, where c/A -> 1).
+    One record of b per step serves K, Q, m and the arc of c alike.
     Starts from the small-amplitude asymptote m = eps^2/4.  A root at
     b = 0 is the blow-up end, lambda_star.
     """
     eps2 = eps_base * eps_base
 
     def excess(b):
-        m, k, s, q = _integrals_of_b(b)
-        kq = k * q
-        c = _sine_coefficient(_alpha_of_b(b))
+        mod = Modulus.of_b(b)
+        m = mod.m
+        kq = mod.K * mod.Q
+        c = _sine_coefficient(mod)
         ratio2 = (c * kq) ** 2 / (math.pi**2 * m) if m > 0.0 else 1.0  # (c/A)^2
         # eps - c is exact near the root, so the residual keeps c's digits
         r = kq * kq * (eps_base - c) * (eps_base + c)
-        return r, 2.0 * eps2 * kq * _dkq_db(b, m, k, s) + 0.5 * math.pi**2 * ratio2
+        return r, 2.0 * eps2 * kq * mod.dkq_db(b) + 0.5 * math.pi**2 * ratio2, mod
 
-    return _lambda_of_alpha(_alpha_of_b(_newton_b(excess, max(0.0, 1.0 - 0.5 * eps2))))
+    return _newton_b(excess, max(0.0, 1.0 - 0.5 * eps2)).lam
 
 
 def expansion_check(
@@ -295,7 +299,7 @@ def expansion_check(
     for e in eps_sorted:
         if not 0.0 < e <= 0.1:
             raise DomainError(f"eps values must lie in (0, 0.1], got {e}")
-    eps_sup = _sine_coefficient(math.inf) / l
+    eps_sup = _sine_coefficient(Modulus.of_b(0.0)) / l
     if eps_sorted[-1] >= eps_sup:
         raise OutOfRangeError(
             eps_sorted[-1],

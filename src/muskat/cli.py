@@ -4,9 +4,9 @@ Subcommands: constants, classify, branch, profile, pendulum, coexist,
 expansion-check.  Every subcommand shares the flags --g, --rho-plus,
 --rho-minus, --h, --config, --out and --format; none sets a solver
 tolerance, since every slope solve runs to rounding.  Exit codes: 0
-success, 1 numerical failure (saturation, singularity, integration,
-non-convergence), 2 invalid input.  Flag values override config file
-values, which override built-in defaults.
+success, 1 numerical failure (a library error that is a RuntimeError),
+2 invalid input (one that is a ValueError).  Flag values override config
+file values, which override built-in defaults.
 """
 
 from __future__ import annotations
@@ -19,17 +19,7 @@ from dataclasses import replace
 from . import curve
 from .agm import constants
 from .config import RunConfig
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DomainError,
-    EventNotFoundError,
-    IntegrationError,
-    OutOfRangeError,
-    ParityError,
-    SaturationError,
-    SingularityError,
-)
+from .errors import ConfigError, DomainError, MuskatError, OutOfRangeError
 from .export import format_float, write_table
 
 
@@ -329,12 +319,10 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         _HANDLERS[args.command](cfg, args)
-    except (ConfigError, DomainError, OutOfRangeError, ParityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        ConvergenceError, SaturationError, SingularityError, EventNotFoundError, IntegrationError
-    ) as exc:
+    except MuskatError as exc:
+        if isinstance(exc, ValueError):
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -11,11 +11,12 @@ together (h = h_star), or only the slope blows up (h > h_star).
 With b = 1/sqrt(1 + alpha^2) and m = (1 - b)/2 the branch parameter
 (2 (2E - K)/pi)^2, the amplitude 2 sqrt(m/lam) and the swing period
 2 pi K/(2E - K) are closed forms in K(m) and E(m), so each inverse solve
-is a safeguarded Newton iteration in b with one AGM per step.
+is a safeguarded Newton iteration in b with one AGM, an ``agm.Modulus``
+record, per step; it returns the record where it stopped.
 
-Everything here is scalar and imports only ``math`` (through ``period``
-and ``agm``), so the commands that need no profile load no numpy.
-``branch`` re-exports these names next to the profile layer.
+Everything here is scalar and imports only ``math`` (through ``agm``),
+so the commands that need no profile load no numpy.  ``branch``
+re-exports these names next to the profile layer.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 
-from . import agm
-from . import period as period_mod
-from .agm import constants
+from .agm import Modulus, alpha_of_beta, constants, one_minus_beta
 from .errors import ConvergenceError, DomainError, OutOfRangeError, SaturationError
 
 __all__ = [
@@ -176,63 +175,32 @@ def gamma_bar(p: PhysicalParams, l: int) -> float:
     return p.weight / (l * l)
 
 
-def _lambda_of_alpha(a: float) -> float:
-    """Branch parameter of slope a: the lam with theta(lam, a) = pi/2.
+def _newton_b(g, b: float):
+    """The record at the root in [0, 1] of g, increasing in b, by safeguarded Newton from b.
 
-    theta(lam, a) = theta(1, a)/sqrt(lam), so lam = (2 theta(1, a)/pi)^2,
-    clipped to 1: rounding puts theta(1, a) an ulp above pi/2 for tiny a.
-    """
-    return min(float(2.0 * period_mod.theta(1.0, a) / math.pi) ** 2, 1.0)
-
-
-def _integrals_of_b(b: float) -> tuple[float, float, float, float]:
-    """m = (1 - b)/2 and K, S = 1 - E/K, Q = (2E - K)/K there, from one AGM.
-
-    The AGM runs on the rows of sqrt((1 + b)/2) and sqrt(m).
-    """
-    m = 0.5 * (1.0 - b)
-    return (m, *agm._complete(*agm._agm(math.sqrt(0.5 * (1.0 + b)), math.sqrt(m)), m))
-
-
-def _dkq_db(b: float, m: float, k: float, s: float) -> float:
-    """d(2E - K)/db = K (m + b S)/(4 m (1 - m)), which tends to 3K/8 as m -> 0."""
-    if m == 0.0:
-        return 0.375 * k
-    return k * (m + b * s) / (4.0 * m * (1.0 - m))
-
-
-def _alpha_of_b(b: float) -> float:
-    """The slope sqrt(1 - b^2)/b of b = 1/sqrt(1 + alpha^2); infinite at b = 0."""
-    if b == 0.0:
-        return math.inf
-    return math.sqrt((1.0 - b) * (1.0 + b)) / b
-
-
-def _newton_b(g, b: float) -> float:
-    """The root in [0, 1] of g, increasing in b, by safeguarded Newton from b.
-
-    ``g(b)`` returns the residual and its derivative in b.  The bracket
-    starts as [0, 1]; a step that leaves it is replaced by bisection.  The
-    iteration stops when the residual is exactly 0, when the step does not
-    move b, when the bracket has closed to 2 ulp, or when a Newton step
-    fails to shrink the residual: it has reached its rounding floor, and
-    the point that step reached is kept, since it removed the residual
-    measured before it and is off only by that measurement's rounding.
-    Raises ConvergenceError after MAX_STEPS steps.
+    ``g(b)`` returns the residual, its derivative in b and its record.  The
+    bracket starts as [0, 1]; a step that leaves it is replaced by
+    bisection.  The iteration stops when the residual is exactly 0, when
+    the step does not move b, when the bracket has closed to 2 ulp, or
+    when a Newton step fails to shrink the residual: it has reached its
+    rounding floor, and the point that step reached is kept, since it
+    removed the residual measured before it and is off only by that
+    measurement's rounding.  Each stop follows an evaluation, whose record
+    is returned.  Raises ConvergenceError after MAX_STEPS steps.
     """
     lo, hi = 0.0, 1.0
     last = math.inf  # |residual| where the last Newton step started
     for _ in range(MAX_STEPS):
-        r, dr = g(b)
+        r, dr, record = g(b)
         if r == 0.0 or abs(r) >= last:
-            return b
+            return record
         if r < 0.0:
             lo = b
         else:
             hi = b
         new = b - r / dr
         if new == b or hi - lo <= 2.0 * math.ulp(hi):
-            return b
+            return record
         if lo < new < hi:
             last = abs(r)
         else:
@@ -245,10 +213,7 @@ def alpha_of_lambda(lam: float) -> float:
     """The unique slope alpha >= 0 with theta(lam, alpha) = pi/2.
 
     Defined exactly on (lambda_star, 1]; alpha(1) = 0 and alpha diverges as
-    lam approaches lambda_star.  Strictly decreasing in lam.  One Newton
-    iteration in b = 1/sqrt(1 + alpha^2), started from the blow-up
-    asymptote b = (pi/2)(lam - lambda_star), on the residual
-    theta(lam, alpha(b)) - pi/2 of the float slope alpha(b) it returns.
+    lam approaches lambda_star.  Strictly decreasing in lam.
 
     Raises
     ------
@@ -256,6 +221,18 @@ def alpha_of_lambda(lam: float) -> float:
         If lam is not in (lambda_star, 1].
     SaturationError
         If alpha exceeds ALPHA_MAX (lam below ``lambda_floor()``).
+    """
+    # at or above the floor the root lies below the cap: theta(floor, ALPHA_MAX) < pi/2
+    return min(_modulus_of_lambda(lam).alpha, ALPHA_MAX)
+
+
+def _modulus_of_lambda(lam: float) -> Modulus:
+    """The record of the slope alpha(lam), with the errors of ``alpha_of_lambda``.
+
+    One Newton iteration in b = 1/sqrt(1 + alpha^2), started from the
+    blow-up asymptote b = (pi/2)(lam - lambda_star), on the residual
+    theta(lam, alpha(b)) - pi/2 of the float slope alpha(b), whose record
+    each step builds.
     """
     c = constants()
     if not c.lambda_star < lam <= 1.0:
@@ -269,13 +246,10 @@ def alpha_of_lambda(lam: float) -> float:
     target = 0.5 * math.pi
 
     def residual(b):
-        *rows, m = agm._arc_agm(_alpha_of_b(b))
-        k, s, q = agm._complete(*rows, m)
-        return k * q / root_lam - target, _dkq_db(b, m, k, s) / root_lam
+        mod = Modulus.of_alpha(alpha_of_beta(b))
+        return mod.K * mod.Q / root_lam - target, mod.dkq_db(b) / root_lam, mod
 
-    b = _newton_b(residual, min(1.0, target * (lam - c.lambda_star)))
-    # at or above the floor the root lies below the cap: theta(floor, ALPHA_MAX) < pi/2
-    return min(_alpha_of_b(b), ALPHA_MAX)
+    return _newton_b(residual, min(1.0, target * (lam - c.lambda_star)))
 
 
 def branch_amplitude(lam: float) -> float:
@@ -287,14 +261,15 @@ def branch_amplitude(lam: float) -> float:
 def lambda_floor() -> float:
     """Smallest branch parameter whose slope does not exceed ALPHA_MAX.
 
-    Starts from the explicit lambda_of_alpha(ALPHA_MAX) and steps up by
-    ulps until theta(lam, ALPHA_MAX) < pi/2, so alpha_of_lambda(floor)
+    Starts from the lam of ALPHA_MAX's record and steps up by ulps until
+    theta(lam, ALPHA_MAX) = K Q/sqrt(lam) < pi/2, so alpha_of_lambda(floor)
     cannot saturate (one step or none).  Raises ConvergenceError if
     FLOOR_NUDGES steps do not get there.
     """
-    lam = _lambda_of_alpha(ALPHA_MAX)
+    cap = Modulus.of_alpha(ALPHA_MAX)
+    lam = cap.lam
     for _ in range(FLOOR_NUDGES):
-        if period_mod.theta(lam, ALPHA_MAX) < 0.5 * math.pi:
+        if cap.K * cap.Q / math.sqrt(lam) < 0.5 * math.pi:
             return lam
         lam = math.nextafter(lam, 1.0)
     raise ConvergenceError(
@@ -326,13 +301,12 @@ def lambda_h(p: PhysicalParams) -> Regime:
         def excess(b):
             # (KQ)^2 (h^2 - amplitude^2), with amplitude^2 = pi^2 m/(KQ)^2:
             # increasing in b and smooth at m = 0, where the amplitude is not
-            m, k, s, q = _integrals_of_b(b)
-            kq = k * q
-            return h2 * kq * kq - math.pi**2 * m, 2.0 * h2 * kq * _dkq_db(b, m, k, s) + 0.5 * math.pi**2
+            mod = Modulus.of_b(b)
+            kq = mod.K * mod.Q
+            return h2 * kq * kq - math.pi**2 * mod.m, 2.0 * h2 * kq * mod.dkq_db(b) + 0.5 * math.pi**2, mod
 
         # start from the small-h asymptote m = h^2/4
-        b = _newton_b(excess, max(0.0, 1.0 - 0.5 * h2))
-        lam_h = max(_lambda_of_alpha(_alpha_of_b(b)), lambda_floor())
+        lam_h = max(_newton_b(excess, max(0.0, 1.0 - 0.5 * h2)).lam, lambda_floor())
     return Regime(kind=kind, lambda_h=lam_h, gamma_h=gamma_of_lambda(p, lam_h))
 
 
@@ -342,7 +316,7 @@ def max_amplitude(lam: float, alpha: float) -> float:
         raise DomainError(f"lambda must be positive, got {lam}")
     if alpha < 0.0:
         raise DomainError(f"alpha must be nonnegative, got {alpha}")
-    return math.sqrt(2.0 * period_mod.one_minus_beta(alpha) / lam)
+    return math.sqrt(2.0 * one_minus_beta(alpha) / lam)
 
 
 def _grid(lam_start: float, n_points: int, include_start: bool) -> list[float]:

@@ -20,17 +20,18 @@ The slope's denominator is evaluated as b + 2 m cn^2, which equals
 1 - 2 m sn^2 but keeps its digits at the zero crossing, where it falls to
 b.
 
-K and E come from the arithmetic-geometric mean of ``agm``, which
-imports only ``math``.  The Jacobi functions run the same AGM and then the
-descending Landen recurrence
+K, E and the AGM rows come from the slope's record ``agm.Modulus``, whose
+module imports only ``math``.  The Jacobi functions run the descending
+Landen recurrence on those rows,
 phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
 down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
 cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
 where the textbook cn / cos(phi_1 - phi_0) does not.  The same sweep sums
 Z(u) = sum_(n>=1) c_n sin(phi_n) (A&S 17.6) from the sines it already
 takes, so x(u) costs one multiply-add per step on top of sn, cn and dn.
-``Arc`` reuses the AGM rows of ``agm._arc_agm`` for the Landen recurrence,
-so its K, Q, x(u) and Jacobi functions come from one AGM and one sweep.
+``Arc`` is built from a record, so its K, Q, x(u) and Jacobi functions
+come from the record's one AGM and one sweep: a caller that already holds
+the record of its slope, as the branch solves do, runs no AGM for it.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .agm import (  # noqa: F401  (the kernel, re-exported)
-    _agm, _arc_agm, _complete, beta_of_alpha, complete_integrals, one_minus_beta,
-)
+from .agm import Modulus, beta_of_alpha, one_minus_beta  # noqa: F401  (re-exported)
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["Arc", "beta_of_alpha", "complete_integrals", "one_minus_beta"]
+__all__ = ["Arc", "beta_of_alpha", "one_minus_beta"]
 
 TABLE_NODES = 129
 MAX_NEWTON = 64
@@ -67,21 +66,20 @@ def _landen(u, m: float, a_s: list[float], c_s: list[float]):
 class Arc:
     """The steady arc of (lam, alpha) as a function of u = sqrt(lam) s.
 
+    Built from lam and the record ``mod`` of the slope alpha (``agm.Modulus``).
     ``quarter`` is the abscissa span from the crest to the zero crossing,
     which u covers on [0, K]; ``length`` is the arc length of one period,
     4 K / sqrt(lam), which is also the swing period.
     """
 
-    def __init__(self, lam: float, alpha: float):
+    def __init__(self, lam: float, mod: Modulus):
         if lam <= 0.0:
             raise DomainError(f"lambda must be positive, got {lam}")
-        if alpha < 0.0:
-            raise DomainError(f"alpha must be nonnegative, got {alpha}")
+        if mod.alpha < 0.0:
+            raise DomainError(f"alpha must be nonnegative, got {mod.alpha}")
         self.lam = lam
-        self.alpha = alpha
-        self.b = beta_of_alpha(alpha)
-        *self._rows, self.m = _arc_agm(alpha)
-        self.K, _, self._ratio = _complete(*self._rows, self.m)
+        self.alpha, self.b, self.m, self.K, self._ratio = mod.alpha, mod.b, mod.m, mod.K, mod.Q
+        self._rows = mod.a_s, mod.c_s
         self.root_lam = math.sqrt(lam)
         self.quarter = self.K * self._ratio / self.root_lam
         self.length = 4.0 * self.K / self.root_lam

@@ -18,9 +18,9 @@ sqrt(lam) = 2 (2 E(m) - K(m))/pi (the quarter period is pi/2), so
 
 a function of the slope alone, strictly decreasing in lam from
 4 K(1/2)^2 = 4/lambda_star at the blow-up end to 2 pi at lam = 1.
-``pendulum_period`` evaluates this branch form at the solved slope
-alpha(lam); ``to_pendulum`` reports 4 K/sqrt(lam) at the given lam, so the
-two agree to the rounding of the slope solve.
+``pendulum_period`` reads this branch form 2 pi/Q off the record of the
+slope solve at lam; ``to_pendulum`` reports 4 K/sqrt(lam) at the given
+lam, so the two agree to the rounding of the slope solve.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curve
-from .agm import constants
-from .elliptic import Arc, complete_integrals
+from .agm import Modulus, constants
+from .elliptic import Arc
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
 from .ivp import SolutionProfile
 from .quadrature import cumulative_gauss
@@ -77,7 +77,7 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
     """
     if profile.parity != "even":
         raise ParityError(f"to_pendulum requires an even profile, got parity={profile.parity!r}")
-    arc = Arc(profile.lam, profile.alpha)
+    arc = Arc(profile.lam, Modulus.of_alpha(profile.alpha))
     crest = float(profile.f[0])
     height = curve.max_amplitude(profile.lam, profile.alpha)
     if abs(abs(crest) - height) > CREST_REL_TOL * max(height, 1.0):
@@ -173,19 +173,15 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
     )
 
 
-def _swing_period(a: float) -> float:
-    """2 pi K/(2 E - K) = 2 pi/Q: the swing period of the branch point of slope a."""
-    return 2.0 * math.pi / complete_integrals(a)[2]
-
-
 def pendulum_period(lam: float) -> float:
     """Swing period of the pendulum matched to the branch profile at lam.
 
-    Evaluates L = 2 pi K(m)/(2 E(m) - K(m)) at the slope alpha(lam), solved
-    to rounding.  Equals 2*pi at lam = 1 and is strictly decreasing in
-    lam.  Raises OutOfRangeError outside (lambda_star, 1].
+    L = 2 pi K(m)/(2 E(m) - K(m)) = 2 pi/Q, read off the record of the
+    slope alpha(lam), solved to rounding.  Equals 2*pi at lam = 1 and is
+    strictly decreasing in lam.  Raises OutOfRangeError outside
+    (lambda_star, 1].
     """
-    return _swing_period(curve.alpha_of_lambda(lam))
+    return 2.0 * math.pi / curve._modulus_of_lambda(lam).Q
 
 
 def lambda_of_period(L: float) -> float:
@@ -198,26 +194,28 @@ def lambda_of_period(L: float) -> float:
     explicit in b = 1/sqrt(1 + alpha^2), so this is one Newton iteration
     in b on Q(b) = 2 pi/L, to rounding, never returning less than
     ``lambda_floor()``.  Raises OutOfRangeError below 2*pi and beyond the
-    swing period of ``lambda_floor()``.
+    swing period of ``lambda_floor()``, solved only for a lam at the floor.
     """
     two_pi = 2.0 * math.pi
     if L < two_pi - 1e-12:
         raise OutOfRangeError(L, (two_pi, math.inf), f"no swing period below 2*pi, got {L}")
     if L <= two_pi:
         return 1.0
-    floor = curve.lambda_floor()
-    L_floor = pendulum_period(floor)
-    if L > L_floor:
-        raise OutOfRangeError(L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period")
     target = two_pi / L
 
     def residual(b):
         # dQ/db = 1/2 + (S - m)^2/(2 m (1 - m)), from dK/db and d(2E - K)/db
-        m, _, s, q = curve._integrals_of_b(b)
-        slope = 0.5 if m == 0.0 else 0.5 + (s - m) ** 2 / (2.0 * m * (1.0 - m))
-        return q - target, slope
+        mod = Modulus.of_b(b)
+        m = mod.m
+        return mod.Q - target, 0.5 if m == 0.0 else 0.5 + (mod.S - m) ** 2 / (2.0 * m * (1.0 - m)), mod
 
     # Q rises from Q(0) = pi lambda_star/2 to Q(1) = 1 about linearly in b
     q0 = 0.5 * math.pi * constants().lambda_star
-    b = curve._newton_b(residual, min(max((target - q0) / (1.0 - q0), 0.0), 1.0))
-    return max(curve._lambda_of_alpha(curve._alpha_of_b(b)), floor)
+    lam = curve._newton_b(residual, min(max((target - q0) / (1.0 - q0), 0.0), 1.0)).lam
+    floor = curve.lambda_floor()
+    if lam > floor:
+        return lam
+    L_floor = pendulum_period(floor)
+    if L > L_floor:
+        raise OutOfRangeError(L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period")
+    return floor

@@ -8,15 +8,15 @@ which the profile slope vanishes is the quarter of the Jacobi arc,
 with ``b = 1/sqrt(1 + alpha^2)`` (DLMF §19.8; ``elliptic.Arc``).  It equals
 sqrt(2/lam) int_0^1 [(1-b) tau^2 + b] / sqrt((1 - tau^2)(1 + (1-b) tau^2 + b)) dtau,
 the integral form that the test suite keeps as an independent route.  K and
-E come from one AGM per call (``agm.complete_integrals``).  The branch
-solvers of ``curve`` run Newton in b on the same closed forms.
+E come from the one AGM of the slope's record (``agm.Modulus``), which the
+Newton in b of ``curve`` also builds at each step.
 """
 
 from __future__ import annotations
 
 import math
 
-from .agm import beta_of_alpha, complete_integrals, constants, one_minus_beta
+from .agm import Modulus, beta_of_alpha, constants, one_minus_beta
 from .errors import DomainError
 
 __all__ = [
@@ -51,11 +51,12 @@ def theta(lam: float, alpha: float) -> float:
     -------
     float
         (2 E(m) - K(m)) / sqrt(lam), evaluated as K Q / sqrt(lam) with
-        Q = (2E - K)/K from the AGM; bitwise ``elliptic.Arc(lam, alpha).quarter``.
+        Q = (2E - K)/K from the AGM; bitwise the ``quarter`` of
+        ``elliptic.Arc(lam, Modulus.of_alpha(alpha))``.
     """
     _validate(lam, alpha)
-    k, _, q = complete_integrals(alpha)
-    return k * q / math.sqrt(lam)
+    mod = Modulus.of_alpha(alpha)
+    return mod.K * mod.Q / math.sqrt(lam)
 
 
 def theta_limit_zero(lam: float) -> float:
@@ -85,7 +86,5 @@ def dtheta_dalpha(lam: float, alpha: float) -> float:
         raise DomainError(f"lambda must be positive, got {lam}")
     if alpha <= 0.0:
         raise DomainError(f"dtheta_dalpha requires alpha > 0, got {alpha}")
-    b = beta_of_alpha(alpha)
-    k, tail, _ = complete_integrals(alpha)
-    m = 0.5 * one_minus_beta(alpha)
-    return -b * k * (m + b * tail) / (alpha * math.sqrt(lam))
+    mod = Modulus.of_alpha(alpha)
+    return -mod.b * mod.K * (mod.m + mod.b * mod.S) / (alpha * math.sqrt(lam))

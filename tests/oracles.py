@@ -26,7 +26,8 @@ import math
 
 import numpy as np
 
-from muskat.elliptic import _agm, _complete, _landen, beta_of_alpha
+from muskat.agm import _agm, _complete, beta_of_alpha
+from muskat.elliptic import _landen
 from muskat.export import SCHEMA_VERSION, format_float
 from muskat.quadrature import gauss_panels
 

@@ -22,6 +22,7 @@ from muskat import (
 )
 from muskat import branch as branch_mod
 from muskat import curve as curve_mod
+from muskat.agm import Modulus
 from muskat import pendulum as pendulum_mod
 
 P_UNIT = PhysicalParams(grav=1.0, rho_plus=1.0, rho_minus=0.0, h=2.0)
@@ -154,11 +155,10 @@ def test_slope_solves_converge_at_the_window_edges():
     assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
 
 
-def test_slope_solves_take_a_few_agm_calls(monkeypatch):
-    # each Newton step in b is one AGM: a handful per solve at every gap,
-    # where Brent on theta took 9 to 60 (and 9 to 23 for lambda_h)
-    c = muskat.constants()
-    muskat.lambda_floor()  # cached, not part of a solve
+def _count_agms(monkeypatch) -> list:
+    """Record every AGM run (``agm._agm``) from here on; the caches are filled first."""
+    muskat.constants()
+    muskat.lambda_floor()
     calls = []
     agm_mod = importlib.import_module("muskat.agm")
     real = agm_mod._agm
@@ -168,6 +168,14 @@ def test_slope_solves_take_a_few_agm_calls(monkeypatch):
         return real(*rows)
 
     monkeypatch.setattr(agm_mod, "_agm", counted)
+    return calls
+
+
+def test_slope_solves_take_a_few_agm_calls(monkeypatch):
+    # each Newton step in b is one AGM: a handful per solve at every gap,
+    # where Brent on theta took 9 to 60 (and 9 to 23 for lambda_h)
+    c = muskat.constants()
+    calls = _count_agms(monkeypatch)
 
     def agm_calls(solve, arg):
         calls.clear()
@@ -181,6 +189,30 @@ def test_slope_solves_take_a_few_agm_calls(monkeypatch):
     hs = [c.h_star * k / 61.0 for k in range(1, 61)]
     worst = max(agm_calls(muskat.lambda_h, PhysicalParams(h=h)) for h in hs)
     assert worst <= 10
+
+
+def test_pendulum_period_and_profile_run_only_the_slope_solve(monkeypatch):
+    # the swing period 2 pi/Q and the arc of the profile come from the record
+    # the slope solve stopped at: no AGM beyond the solve's own
+    calls = _count_agms(monkeypatch)
+    for lam in (0.3, 0.5, 0.95, muskat.constants().lambda_star + 1e-6):
+        calls.clear()
+        muskat.alpha_of_lambda(lam)
+        solve = len(calls)
+        calls.clear()
+        muskat.pendulum_period(lam)
+        assert len(calls) == solve, lam
+        calls.clear()
+        muskat.profile_at(lam, n_samples=65)
+        assert len(calls) == solve, lam
+
+
+def test_lambda_of_period_solves_once(monkeypatch):
+    # lambda is read off the record of the Newton in b, and the floor's swing
+    # period is solved only for a lambda at the floor (9 AGMs before at L = 7)
+    calls = _count_agms(monkeypatch)
+    pendulum_mod.lambda_of_period(7.0)
+    assert len(calls) <= 6
 
 
 def test_branch_amplitude_monotone_with_limit():
@@ -427,7 +459,7 @@ def test_expansion_eps_validation():
 def test_expansion_eps_beyond_the_coefficient_sup():
     # the first coefficient rises to c1(b=0) ~ 3.066268 at the blow-up end,
     # so l * eps at or above it has no branch point: bad input, not a failure
-    sup = branch_mod._sine_coefficient(math.inf)
+    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
     assert sup == pytest.approx(3.066268, abs=1e-6)
     with pytest.raises(OutOfRangeError) as info:
         muskat.expansion_check(P_UNIT, l=40, eps_list=(0.02, 0.1))
@@ -438,8 +470,9 @@ def test_expansion_eps_beyond_the_coefficient_sup():
 @pytest.mark.parametrize("a", [0.3, 2.0, 30.0])
 def test_sine_coefficient_against_x_quadrature(a):
     # the trapezoid rule in u against the Gauss route in x on the sampled profile
-    prof = branch_mod._profile(branch_mod._lambda_of_alpha(a), a, n_samples=65)
-    assert branch_mod._sine_coefficient(a) == pytest.approx(
+    mod = Modulus.of_alpha(a)
+    prof = branch_mod._profile(mod.lam, mod, n_samples=65)
+    assert branch_mod._sine_coefficient(mod) == pytest.approx(
         muskat.fourier_sine_coefficient(prof, 1), abs=2e-15
     )
 
@@ -448,9 +481,10 @@ def test_sine_coefficient_against_x_quadrature(a):
 def test_sine_coefficient_converges_on_steep_profiles(a):
     # where the Gauss route in x cannot converge, the trapezoid rule in u
     # has converged at 64 nodes, and the coefficient stays below its sup
-    c64 = branch_mod._sine_coefficient(a)
-    assert abs(c64 - branch_mod._sine_coefficient(a, n_nodes=128)) <= 1e-15
-    assert c64 < branch_mod._sine_coefficient(math.inf)
+    mod = Modulus.of_alpha(a)
+    c64 = branch_mod._sine_coefficient(mod)
+    assert abs(c64 - branch_mod._sine_coefficient(mod, n_nodes=128)) <= 1e-15
+    assert c64 < branch_mod._sine_coefficient(Modulus.of_b(0.0))
 
 
 #: the base coefficients l * eps that ``expansion-check --l 1..4`` solves for at its default eps
@@ -480,20 +514,35 @@ def test_expansion_solves_take_few_coefficient_evaluations(monkeypatch):
         assert 1 <= len(calls) <= 8, (eps_base, len(calls))
 
 
+def test_one_agm_per_coefficient_evaluation(monkeypatch):
+    # each step's record of b gives K, Q, m and the arc of the coefficient
+    # (three AGMs per coefficient before), and lambda costs no further AGM
+    coefficients = _count_coefficients(monkeypatch)
+    calls = _count_agms(monkeypatch)
+    for eps_base in DEFAULT_EPS_BASES:
+        coefficients.clear()
+        calls.clear()
+        branch_mod._lambda_for_coefficient(eps_base)
+        assert len(calls) == len(coefficients), eps_base
+    calls.clear()
+    muskat.expansion_check(P_UNIT, l=1)
+    assert len(calls) <= 16  # 41 before
+
+
 def test_expansion_solve_against_brent_on_the_slope():
     # scipy's Brent on the slope a of c(a) = eps, the route expansion-check
     # took before the Newton in b, as the oracle up to the coefficient's sup;
     # c is flat to its rounding over a few ulp of lambda, so the two solvers
     # agree to 1.7e-15 relative, not to the ulp
-    sup = branch_mod._sine_coefficient(math.inf)
+    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
     for eps_base in np.linspace(0.005, sup * (1.0 - 1e-6), 101).tolist():
         def g(a):
-            return eps_base - branch_mod._sine_coefficient(a)
+            return eps_base - branch_mod._sine_coefficient(Modulus.of_alpha(a))
 
         hi = 1.0
         while g(hi) >= 0.0:
             hi *= 2.0
-        want = branch_mod._lambda_of_alpha(brentq(g, 0.0, hi, xtol=math.ulp(0.0)))
+        want = Modulus.of_alpha(brentq(g, 0.0, hi, xtol=math.ulp(0.0))).lam
         got = branch_mod._lambda_for_coefficient(eps_base)
         assert abs(got - want) <= 1.7e-15 * want, eps_base
 
@@ -502,7 +551,7 @@ def test_expansion_check_reaches_the_coefficient_sup():
     # l * eps within 1e-9 of c1(b=0): the root lies at a slope near 1e9,
     # past the old bracket cap, and a root at b = 0 is lambda_star itself
     c = muskat.constants()
-    sup = branch_mod._sine_coefficient(math.inf)
+    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
     l = 31
     eps = (sup - 5e-10) / l
     assert sup - l * eps <= 1e-9 and eps <= 0.1
@@ -514,7 +563,7 @@ def test_expansion_check_reaches_the_coefficient_sup():
 
 def test_newton_in_b_returns_a_root_it_starts_on():
     for root in (0.0, 0.25, 1.0):
-        assert curve_mod._newton_b(lambda b: (b - root, 1.0), root) == root
+        assert curve_mod._newton_b(lambda b: (b - root, 1.0, b), root) == root
 
 
 def test_newton_in_b_step_bound_raises_convergence_error(monkeypatch):
@@ -522,7 +571,7 @@ def test_newton_in_b_step_bound_raises_convergence_error(monkeypatch):
     # so the iteration bisects and meets the step bound first
     monkeypatch.setattr(curve_mod, "MAX_STEPS", 3)
     with pytest.raises(ConvergenceError, match="did not converge in 3 steps"):
-        curve_mod._newton_b(lambda b: (b - 1.0 / 3.0, 1e-3), 0.5)
+        curve_mod._newton_b(lambda b: (b - 1.0 / 3.0, 1e-3, b), 0.5)
 
 
 def test_coexistence_levels():
@@ -574,7 +623,7 @@ def test_lambda_floor_is_resolvable_and_bounded(monkeypatch):
     assert muskat.theta(floor, branch_mod.ALPHA_MAX) < math.pi / 2
     assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
     # the explicit lambda of the cap, at most a few ulps below the floor
-    start = branch_mod._lambda_of_alpha(branch_mod.ALPHA_MAX)
+    start = Modulus.of_alpha(branch_mod.ALPHA_MAX).lam
     assert start <= floor <= start + 4 * math.ulp(start)
     monkeypatch.setattr(curve_mod, "FLOOR_NUDGES", 0)
     with pytest.raises(ConvergenceError):
@@ -617,14 +666,14 @@ def test_lambda_of_b_against_mpmath():
             alpha = float(mpmath.sqrt(1 - b * b) / b)
             m = (1 - 1 / mpmath.sqrt(1 + mpmath.mpf(alpha) ** 2)) / 2
             exact = (2 * (2 * mpmath.ellipe(m) - mpmath.ellipk(m)) / mpmath.pi) ** 2
-            assert abs(branch_mod._lambda_of_alpha(alpha) / exact - 1) <= 4e-15, k
+            assert abs(Modulus.of_alpha(alpha).lam / exact - 1) <= 4e-15, k
 
 
 def test_lambda_of_alpha_inverts_alpha_of_lambda():
     c = muskat.constants()
     for gap in np.logspace(-8.0, math.log10(0.7), 40):
         lam = c.lambda_star + gap
-        back = branch_mod._lambda_of_alpha(muskat.alpha_of_lambda(lam))
+        back = Modulus.of_alpha(muskat.alpha_of_lambda(lam)).lam
         assert back == pytest.approx(lam, rel=1e-13)
 
 

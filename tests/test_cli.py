@@ -322,14 +322,16 @@ def test_infinity_in_a_config_file_names_the_field(tmp_path, capsys):
 #: sha256 of the scalar commands' files: the table writer and the branch
 #: grid must keep these bytes; the branch rows are the Newton-in-b slope
 #: solves, checked row by row against mpmath below.  lambda_star is the
-#: branch's own b = 0 value, (2 K Q/pi)^2 at m = 1/2 from the AGM
+#: branch's own b = 0 value, (2 K Q/pi)^2 at m = 1/2 from the AGM, and the
+#: touching endpoint of branch-touching is the lambda of the record its
+#: Newton in b stopped at
 SCALAR_DIGESTS = {
     ("constants", "csv"): "145e8d5d532f0f2390f52be903f3bb4c6f916595ada4390abe70f214519cac79",
     ("constants", "json"): "145e8d5d532f0f2390f52be903f3bb4c6f916595ada4390abe70f214519cac79",
     ("classify", "csv"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
     ("classify", "json"): "2a479fc89d0adca8bc51d5919f1d97dc12689ecd34fcd25ade440d58b80fac6a",
-    ("branch-touching", "csv"): "33b4ee9622ee55b3dad97ee716f550d92e4e2a39e59e97f7519396973f7f275d",
-    ("branch-touching", "json"): "0d08a534581cb9da8487f176fd02c1d3b5bdb40944b3da485de9c3933ac1db70",
+    ("branch-touching", "csv"): "a30a6e1c1019a6d03f0dec231b1057122439819f6f7ceb9f1d05cfc4c4ed6b82",
+    ("branch-touching", "json"): "308a8f4f8115984e2e268df83222bfc1316402bd45eb0800dca9d7eba4596e5c",
     ("branch-blowup-l3", "csv"): "6039491d9cbc492a32b724f89effbcb81a2a4e123ee07decb1bc376e9f457114",
     ("branch-blowup-l3", "json"): "336be0116f185625f75e1777dd8681d81973ce5535e5687943a0b7fc5c2ed635",
     ("coexist", "csv"): "d8844d5be1e5580a15c326e37d4970dddaaa5c8a26b30ed7bbf64527d915041f",
@@ -427,6 +429,32 @@ def test_convergence_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatc
     assert run(["expansion-check", "--eps", "0.04", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "numerical failure: iteration not converged\n"
     assert not out.exists()
+
+
+#: exit code of each library error in the CLI: 2 for invalid input, 1 for a numerical failure
+EXIT_CODES = {
+    "ConfigError": 2, "DomainError": 2, "OutOfRangeError": 2, "ParityError": 2,
+    "ConvergenceError": 1, "EventNotFoundError": 1, "IntegrationError": 1, "SaturationError": 1,
+    "SingularityError": 1,
+}
+
+
+@pytest.mark.parametrize("error", muskat.MuskatError.__subclasses__(), ids=lambda e: e.__name__)
+def test_exit_code_follows_the_error_kind(tmp_path, capsys, monkeypatch, error):
+    # each library error is exactly one of ValueError and RuntimeError, and
+    # that kind alone picks the exit code and the stderr prefix
+    assert sorted(e.__name__ for e in muskat.MuskatError.__subclasses__()) == sorted(EXIT_CODES)
+    assert issubclass(error, ValueError) != issubclass(error, RuntimeError)
+    exc = error(0.5, (0.0, 1.0), "boom") if error is muskat.OutOfRangeError else error("boom")
+
+    def failing(cfg, args):
+        raise exc
+
+    monkeypatch.setitem(muskat.cli._HANDLERS, "classify", failing)
+    code = run(["classify", "--out", str(tmp_path / "out.txt")])
+    assert code == EXIT_CODES[error.__name__]
+    prefix = "error" if code == 2 else "numerical failure"
+    assert capsys.readouterr().err == f"{prefix}: boom\n"
 
 
 def test_no_scipy_on_the_import_path(tmp_path):

@@ -8,7 +8,8 @@ import pytest
 
 import muskat
 from muskat import ConvergenceError, DomainError
-from muskat import elliptic
+from muskat import agm, elliptic
+from muskat.agm import Modulus
 from muskat.elliptic import Arc
 from oracles import ellipe, ellipj, ellipk, ellipkm1, zeta_nome
 
@@ -62,6 +63,58 @@ def test_complete_integrals_at_the_ends():
     assert ellipkm1(0.0) == math.inf
 
 
+_RECORDS = [
+    *(Modulus.of_b(b) for b in [0.0, 1e-12, 1e-6, 1e-3, *np.linspace(0.0, 1.0, 41).tolist(), 1.0 - 1e-12]),
+    *(Modulus.of_alpha(a) for a in [0.0, 1e-12, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e6, 1e12, math.inf]),
+]
+
+
+def test_modulus_record_against_mpmath():
+    # each record's K, E = K (1 - S) and 2E - K = K Q at its own m, to the
+    # 3 eps of the m-parameter kernel; lambda = (2 K Q/pi)^2 and d(KQ)/db to 4 eps
+    with mpmath.workdps(ORACLE_DPS):
+        for mod in _RECORDS:
+            m = mpmath.mpf(mod.m)
+            k, e = mpmath.ellipk(m), mpmath.ellipe(m)
+            assert abs(mod.K / k - 1) <= 3 * EPS, mod.m
+            assert abs(mod.K * (1.0 - mod.S) / e - 1) <= 3 * EPS, mod.m
+            assert abs(mod.K * mod.Q / (2 * e - k) - 1) <= 3 * EPS, mod.m
+            lam = min((2 * (2 * e - k) / mpmath.pi) ** 2, 1)
+            assert abs(mod.lam / lam - 1) <= 4 * EPS, mod.m
+            if mod.m > 0.0:
+                b = 1 - 2 * m
+                slope = mpmath.diff(lambda t: 2 * mpmath.ellipe((1 - t) / 2) - mpmath.ellipk((1 - t) / 2), b)
+                assert abs(mod.dkq_db(float(b)) / slope - 1) <= 4 * EPS, mod.m
+
+
+def test_modulus_record_from_a_slope_and_from_b():
+    # both ways in reach the same modulus; at b = 0 the record is the
+    # blow-up end, with d(KQ)/db = 3K/8 at the other end m = 0
+    assert Modulus.of_alpha(math.inf)[:3] == Modulus.of_b(0.0)[:3] == (math.inf, 0.0, 0.5)
+    assert Modulus.of_alpha(math.inf) == Modulus.of_b(0.0)
+    flat = Modulus.of_b(1.0)
+    assert (flat.alpha, flat.m, flat.S, flat.Q) == (0.0, 0.0, 0.0, 1.0)
+    assert flat.dkq_db(1.0) == 0.375 * flat.K == 0.375 * math.pi / 2
+    assert flat.lam == 1.0
+    for b in (1e-8, 0.3, 0.999):
+        mod = Modulus.of_b(b)
+        assert mod.m == 0.5 * (1.0 - b)  # exact from b
+        assert Modulus.of_alpha(mod.alpha).b == pytest.approx(b, rel=4 * EPS)
+
+
+@pytest.mark.parametrize("b", [1e-8, 1e-3, 0.5, 0.999])
+def test_arc_from_b_and_from_its_float_slope_agree(b):
+    # an arc built from b's record and one from the record of its float
+    # slope: x and f to 1e-14, and f' (up to 1/b at the crossing) relative
+    mod = Modulus.of_b(b)
+    from_b, from_slope = Arc(mod.lam, mod), Arc(mod.lam, Modulus.of_alpha(mod.alpha))
+    u = np.linspace(0.0, 4.0 * from_b.K, 2001)
+    assert np.max(np.abs(from_b.x(u) - from_slope.x(u))) <= 1e-14
+    (f_b, fp_b), (f_s, fp_s) = from_b.profile(u), from_slope.profile(u)
+    assert np.max(np.abs(f_b - f_s)) <= 1e-14
+    assert np.max(np.abs(fp_b - fp_s) / np.maximum(np.abs(fp_b), 1.0)) <= 1e-14
+
+
 @pytest.mark.parametrize("m", [1e-3, 0.25, 0.5 - 1e-9, 0.5])
 def test_jacobi_functions_against_oracle_on_graded_grid(m):
     # 4001 points on [0, K], graded cubically toward u = K, where cn -> 0
@@ -83,7 +136,7 @@ def test_jacobi_functions_against_oracle_on_graded_grid(m):
 def test_kernel_terminates_at_the_blowup_parameter(m):
     # m = 1/2 is the slope blow-up; an AGM that waits for a - b to reach
     # zero never stops there, as a and b can settle one ulp apart
-    a_s, c_s = elliptic._agm(math.sqrt(1.0 - m), math.sqrt(m))
+    a_s, c_s = agm._agm(math.sqrt(1.0 - m), math.sqrt(m))
     assert len(a_s) <= 6
     assert 1.0 / ellipk(m) ** 2 == pytest.approx(muskat.constants().lambda_star, rel=1e-15)
     sn, cn, dn = ellipj(np.array([0.0, ellipk(m)]), m)
@@ -96,7 +149,7 @@ def test_kernel_terminates_at_the_blowup_parameter(m):
 def _arc_with_parameter(m_target):
     """Arc at lam = 1 whose slope alpha gives parameter m close to m_target."""
     b = 1.0 - 2.0 * m_target
-    return Arc(1.0, math.sqrt(1.0 - b * b) / b)
+    return Arc(1.0, Modulus.of_alpha(math.sqrt(1.0 - b * b) / b))
 
 
 def test_oracle_matches_mpmath_jacobi_functions():
@@ -156,7 +209,7 @@ def test_abscissa_against_nome_series(m_target):
 def test_arc_closed_forms():
     lam = 0.6
     a = muskat.alpha_of_lambda(lam)
-    arc = Arc(lam, a)
+    arc = Arc(lam, Modulus.of_alpha(a))
     f0, fp0 = arc.profile(0.0)
     assert f0 == pytest.approx(muskat.max_amplitude(lam, a), rel=1e-14)
     assert fp0 == 0.0
@@ -169,14 +222,14 @@ def test_arc_closed_forms():
 
 
 def test_first_integral_is_exact_along_the_arc():
-    arc = Arc(0.4, 30.0)
+    arc = Arc(0.4, Modulus.of_alpha(30.0))
     f, fp = arc.profile(np.linspace(0.0, 4.0 * arc.K, 2001))
     drift = 1.0 / np.sqrt(1.0 + fp**2) - 0.5 * arc.lam * f**2 - arc.b
     assert np.max(np.abs(drift)) <= 1e-14
 
 
 def test_swing_is_arctan_of_slope():
-    arc = Arc(0.5, 4.0)
+    arc = Arc(0.5, Modulus.of_alpha(4.0))
     u = np.linspace(0.0, 4.0 * arc.K, 1001)
     theta, theta_prime = arc.swing(u)
     f, fp = arc.profile(u)
@@ -187,7 +240,7 @@ def test_swing_is_arctan_of_slope():
 
 @pytest.mark.parametrize("alpha", [1e-6, 0.8, 6.4e7])
 def test_inversion_hits_the_abscissa(alpha):
-    arc = Arc(0.45, alpha)
+    arc = Arc(0.45, Modulus.of_alpha(alpha))
     xs = np.linspace(0.0, arc.quarter, 1025)
     u = arc.u_of_x(xs)
     assert np.all((u >= 0.0) & (u <= arc.K))
@@ -197,7 +250,7 @@ def test_inversion_hits_the_abscissa(alpha):
 
 
 def test_inversion_step_bound_is_loud(monkeypatch):
-    arc = Arc(0.5, 3.0)
+    arc = Arc(0.5, Modulus.of_alpha(3.0))
     monkeypatch.setattr(elliptic, "MAX_NEWTON", 1)
     with pytest.raises(ConvergenceError):
         arc.u_of_x(np.linspace(0.0, arc.quarter, 17))
@@ -205,13 +258,13 @@ def test_inversion_step_bound_is_loud(monkeypatch):
 
 def test_arc_validation():
     with pytest.raises(DomainError):
-        Arc(0.0, 1.0)
+        Arc(0.0, Modulus.of_alpha(1.0))
     with pytest.raises(DomainError):
-        Arc(1.0, -1.0)
+        Arc(1.0, Modulus.of_alpha(-1.0))
 
 
 def test_flat_arc_is_a_cosine():
-    arc = Arc(1.0, 0.0)
+    arc = Arc(1.0, Modulus.of_alpha(0.0))
     assert arc.K == pytest.approx(math.pi / 2, rel=1e-15)
     assert arc.quarter == pytest.approx(math.pi / 2, rel=1e-15)
     assert arc.length == pytest.approx(2.0 * math.pi, rel=1e-15)

@@ -99,14 +99,20 @@ def test_public_names_are_their_defining_objects():
 
 def test_branch_keeps_its_names_as_the_scalar_objects():
     curve_mod = importlib.import_module("muskat.curve")
-    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL", "_lambda_of_alpha"]:
+    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL"]:
         assert hasattr(branch_mod, name), name
     assert not hasattr(branch_mod, "_slope_root")  # expansion-check solves in b
     for name in curve_mod.__all__:
         if name != "max_amplitude":
             assert getattr(branch_mod, name) is getattr(curve_mod, name), name
     assert muskat.ivp.max_amplitude is curve_mod.max_amplitude
-    assert muskat.elliptic.complete_integrals is importlib.import_module("muskat.agm").complete_integrals
+    # one record per AGM: the slope -> (K, S, Q) entry points left with it
+    agm_mod = importlib.import_module("muskat.agm")
+    for removed in ("_arc_agm", "complete_integrals"):
+        assert not hasattr(agm_mod, removed) and not hasattr(muskat.elliptic, removed), removed
+    for removed in ("_integrals_of_b", "_dkq_db", "_alpha_of_b", "_lambda_of_alpha"):
+        assert not hasattr(curve_mod, removed) and not hasattr(branch_mod, removed), removed
+    assert not hasattr(muskat.pendulum, "_swing_period")
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():

@@ -10,8 +10,8 @@ from scipy.special import ellipk
 
 import muskat
 from muskat import DomainError, OutOfRangeError, ParityError, SingularityError
-from muskat import branch as branch_mod
 from muskat import pendulum as pendulum_mod
+from muskat.agm import Modulus
 from muskat.elliptic import Arc
 from muskat.quadrature import cumulative_gauss
 
@@ -92,7 +92,7 @@ def test_round_trip_from_a_swing_on_non_uniform_arc_length(lam):
     # knots crowd at the crest and thin out at the zero crossings, so the
     # swing integral meets intervals of a 5:1 length ratio
     even = even_profile(lam)
-    arc = Arc(lam, even.alpha)
+    arc = Arc(lam, Modulus.of_alpha(even.alpha))
     t = np.linspace(0.0, 1.0, 1024)
     s = arc.length * (t - np.sin(4.0 * math.pi * t) / (6.0 * math.pi))
     theta, theta_prime = arc.swing(arc.root_lam * s)
@@ -167,13 +167,14 @@ def test_period_formula_against_elliptic_oracle(lam):
 
 
 def test_branch_form_against_gauss_swing_oracle():
-    # 2 pi K/(2E - K) is the swing period at lambda(a): to rounding against
-    # the Gauss swing integral there, and to the slope solve at the given lam
+    # 2 pi K/(2E - K) = 2 pi/Q of a's record is the swing period at its
+    # lambda(a): to rounding against the Gauss swing integral there, and to
+    # the slope solve at the given lam
     for lam in (0.35, 0.6, 0.9, muskat.constants().lambda_star + 1e-6):
         a = muskat.alpha_of_lambda(lam)
-        lam_a = branch_mod._lambda_of_alpha(a)
-        assert pendulum_mod._swing_period(a) == pytest.approx(
-            swing_period_gauss(lam_a, a), rel=1e-15
+        mod = Modulus.of_alpha(a)
+        assert 2.0 * math.pi / mod.Q == pytest.approx(
+            swing_period_gauss(mod.lam, a), rel=1e-15
         ), lam
         assert muskat.pendulum_period(lam) == pytest.approx(
             swing_period_gauss(lam, a), rel=1e-13

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 import muskat
 from muskat import DomainError
+from muskat.agm import Modulus
 from muskat.elliptic import Arc
 
 #: 37 slopes from 1e-6 to 1e12, five per decade
@@ -143,4 +144,4 @@ def test_dtheta_dalpha_against_gauss_oracle(lam):
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.0])
 def test_arc_quarter_is_theta(lam):
     for alpha in [0.0, *ALPHAS, math.inf]:
-        assert Arc(lam, alpha).quarter == muskat.theta(lam, alpha)
+        assert Arc(lam, Modulus.of_alpha(alpha)).quarter == muskat.theta(lam, alpha)

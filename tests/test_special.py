@@ -10,7 +10,7 @@ from oracles import beta, log_gamma
 from scipy.integrate import quad
 
 import muskat
-from muskat import curve
+from muskat.agm import Modulus
 
 
 def beta_34_12_quadrature_oracle():
@@ -112,5 +112,5 @@ def test_constants_within_an_ulp_or_two_of_mpmath():
 
 def test_lambda_star_is_the_branch_value_at_b_zero():
     # one rounding of lambda_star: the branch parameter at infinite slope
-    assert muskat.constants().lambda_star == curve._lambda_of_alpha(math.inf)
-    assert muskat.constants().lambda_star == curve._lambda_of_alpha(curve._alpha_of_b(0.0))
+    assert muskat.constants().lambda_star == Modulus.of_alpha(math.inf).lam
+    assert muskat.constants().lambda_star == Modulus.of_b(0.0).lam
