@@ -7,7 +7,11 @@ samples under a schema_version field, laid out as json.dump(..., indent=1)
 lays them out.  Columns are one-dimensional, at least one per table, all
 of one length.  Identical inputs produce
 byte-identical files: no timestamps, fixed key order, fixed float
-formatting.  Writing needs no numpy; ``read_table`` returns numpy arrays.
+formatting.  A float column is formatted once per distinct magnitude
+(one formatting call for all of them), and each cell takes its
+magnitude's text, with a '-' where the sign bit is set; the bytes are
+those of formatting every cell on its own.  Writing needs no numpy;
+``read_table`` returns numpy arrays.
 """
 
 from __future__ import annotations
@@ -26,20 +30,56 @@ def format_float(value: float, precision: int = 17) -> str:
     return f"{value:.{precision - 1}e}"
 
 
-def _column(col) -> tuple[list, bool]:
-    """A column as a flat list, and whether its cells are formatted as floats.
+def _format_floats(values: list, precision: int, csv: bool) -> list[str]:
+    """Each float as its cell text, in one formatting call for the whole list.
 
-    Arrays convert by ``tolist`` (a 0-d array gives one cell) and are
-    floats when their dtype is; other sequences are floats when every cell
-    is a float.
+    CSV cells are ``format_float``'s; JSON cells are the C encoder's, as
+    json.dump writes them.  Neither text holds a ','.
     """
-    values = col.tolist() if hasattr(col, "tolist") else list(col)
-    if not isinstance(values, list):
-        values = [values]
+    if not values:
+        return []
+    if csv:
+        return ((f"%.{precision - 1}e," * len(values))[:-1] % tuple(values)).split(",")
+    return json.dumps(values, separators=(",", ":"))[1:-1].split(",")
+
+
+def _float_array_cells(col, precision: int, csv: bool) -> list[str]:
+    """A float array's cells, formatted once per distinct magnitude.
+
+    A dict keyed on the value would merge 0.0 with -0.0, so the magnitudes
+    come from np.unique(|col|) and the sign from the sign bit; NaN, whatever
+    its sign bit, is written unsigned, as the formatters write it.
+    """
+    import numpy as np  # an array's module, so already loaded
+
+    mags, index = np.unique(np.abs(col), return_inverse=True)
+    if mags.size == col.size:
+        return _format_floats(col.tolist(), precision, csv)
+    texts = _format_floats(mags.tolist(), precision, csv)
+    texts += ["-" + text for text in texts]
+    index += mags.size * (np.signbit(col) & ~np.isnan(col))
+    return np.array(texts, dtype=object)[index].tolist()
+
+
+def _cells(col, precision: int, csv: bool) -> list[str]:
+    """A column as its cell texts.
+
+    Arrays are float columns when their dtype is (a 0-d array gives one
+    cell); other sequences are when every cell is a float.  Other cells
+    are written by str (CSV) or the JSON encoder.
+    """
     dtype = getattr(col, "dtype", None)
     if dtype is not None:
-        return values, dtype.kind == "f"
-    return values, all(isinstance(v, float) for v in values)
+        if dtype.kind == "f":
+            return _float_array_cells(col.reshape(-1), precision, csv)
+        values = col.tolist()
+        if not isinstance(values, list):
+            values = [values]
+    else:
+        values = list(col)
+        if all(isinstance(v, float) for v in values):
+            return _format_floats(values, precision, csv)
+    return list(map(str if csv else json.dumps, values))
 
 
 def _write_csv(fh: IO[str], metadata, columns, precision):
@@ -49,26 +89,21 @@ def _write_csv(fh: IO[str], metadata, columns, precision):
             value = format_float(value, precision)
         fh.write(f"# {key}={value}\n")
     fh.write(",".join(columns) + "\n")
-    # float or plain formatting is decided once per column, not per cell;
-    # "%.{p-1}e" and "%s" give the bytes of format_float and str
-    row = ",".join(f"%.{precision - 1}e" if is_float else "%s" for _, is_float in columns.values()) + "\n"
-    fh.write("".join([row % values for values in zip(*(cells for cells, _ in columns.values()))]))
+    rows = list(map(",".join, zip(*columns.values())))
+    if rows:
+        fh.write("\n".join(rows) + "\n")
 
 
-def _json_list(values: list) -> str:
-    """A flat list laid out as json.dump(..., indent=1) lays it out two levels deep.
-
-    The C encoder writes it, with the newline and indent folded into its
-    item separator.
-    """
-    if not values:
+def _json_list(cells: list[str]) -> str:
+    """Cell texts laid out as json.dump(..., indent=1) lays out a list two levels deep."""
+    if not cells:
         return "[]"
-    return "[\n   " + json.dumps(values, separators=(",\n   ", ": "))[1:-1] + "\n  ]"
+    return "[\n   " + ",\n   ".join(cells) + "\n  ]"
 
 
 def _write_json(fh: IO[str], metadata, columns, precision):
     header = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": dict(metadata)}, indent=1)
-    samples = ",\n".join(f"  {json.dumps(name)}: {_json_list(cells)}" for name, (cells, _) in columns.items())
+    samples = ",\n".join(f"  {json.dumps(name)}: {_json_list(cells)}" for name, cells in columns.items())
     # the header's closing "\n}" makes way for the samples object
     fh.write(header[:-2] + f',\n "samples": {{\n{samples}\n }}\n}}\n')
 
@@ -86,8 +121,8 @@ def write_table(
     for the same values.  Raises ValueError, before any file is opened, for
     a table without columns or with columns of different lengths.
     """
-    cols = {name: _column(col) for name, col in columns.items()}
-    lengths = {len(cells) for cells, _ in cols.values()}
+    cols = {name: _cells(col, precision, fmt == "csv") for name, col in columns.items()}
+    lengths = {len(cells) for cells in cols.values()}
     if not lengths:
         raise ValueError("a table needs at least one column")
     if len(lengths) > 1:
@@ -98,7 +133,6 @@ def write_table(
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             writer(fh, metadata, cols, precision)
-
 
 def _parse_scalar(text: str):
     try:

@@ -10,9 +10,11 @@ m = (1 - b)/2, b = 1/sqrt(1 + alpha^2), the swing is the Jacobi arc
 
 of amplitude arctan(alpha) (``elliptic.Arc``); ``to_pendulum`` samples it.
 The inverse map is generic: it rebuilds the profile from any sampled
-swing by integrating cos(theta) for the abscissa and reading f from
--theta'/lam.  The swing period is L = 4 K(m)/sqrt(lam).  Along the branch
-sqrt(lam) = 2 (2 E(m) - K(m))/pi (the quarter period is pi/2), so
+swing by integrating cos(theta) for the abscissa, in closed form as the
+exact integral of the Hermite cubic of cos(theta) through the samples,
+and reading f from -theta'/lam.  The swing period is L = 4 K(m)/sqrt(lam).
+Along the branch sqrt(lam) = 2 (2 E(m) - K(m))/pi (the quarter period is
+pi/2), so
 
     L = 2 pi K(m) / (2 E(m) - K(m)),
 
@@ -35,7 +37,6 @@ from .agm import Modulus, constants
 from .elliptic import Arc
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
 from .ivp import SolutionProfile
-from .quadrature import cumulative_gauss
 
 __all__ = [
     "PendulumTrajectory",
@@ -98,14 +99,6 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
     )
 
 
-def _hermite_coefficients(x, y, dydx):
-    """(c2, c3) of the Hermite cubics y[j] + dydx[j] d + c2[j] d^2 + c3[j] d^3, d = t - x[j]."""
-    h = np.diff(x)
-    slope = np.diff(y) / h
-    t3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
-    return (slope - dydx[:-1]) / h - t3, t3 / h
-
-
 def _hermite(x, y, dydx):
     """Piecewise cubic Hermite interpolant through (x, y) with slopes dydx.
 
@@ -114,7 +107,11 @@ def _hermite(x, y, dydx):
     powers of t - x[j]) are those of scipy.interpolate.CubicHermiteSpline.
     """
     x, y, dydx = (np.asarray(v, dtype=float) for v in (x, y, dydx))
-    c2, c3 = _hermite_coefficients(x, y, dydx)
+    # the cubic on [x[j], x[j+1]] is y[j] + dydx[j] d + c2[j] d^2 + c3[j] d^3, d = t - x[j]
+    h = np.diff(x)
+    slope = np.diff(y) / h
+    t3 = (dydx[:-1] + dydx[1:] - 2.0 * slope) / h
+    c2, c3 = (slope - dydx[:-1]) / h - t3, t3 / h
 
     def ev(t):
         t = np.asarray(t, dtype=float)
@@ -127,15 +124,34 @@ def _hermite(x, y, dydx):
     return ev
 
 
+def _swing_abscissae(s, theta, theta_prime):
+    """Abscissae z(s[k]) = int_0^s[k] cos(theta) of a sampled swing, z[0] = 0.
+
+    The exact integral of the Hermite cubic of cos(theta), whose knot
+    slopes are c' = -theta' sin(theta): over [s[k], s[k+1]] of length h
+    it is h/2 (c[k] + c[k+1]) + h^2/12 (c'[k] - c'[k+1]), on any
+    increasing knots.  On uniform knots the slope terms telescope, so the
+    span z[-1] of a whole period is the periodic trapezoid rule, accurate
+    to rounding (Trefethen & Weideman 2014; Euler-Maclaurin, DLMF 2.10(i)).
+    """
+    c = np.cos(theta)
+    dc = -theta_prime * np.sin(theta)
+    h = np.diff(s)
+    z = np.empty_like(s)
+    z[0] = 0.0
+    np.cumsum(0.5 * h * (c[:-1] + c[1:]) + (h * h / 12.0) * (dc[:-1] - dc[1:]), out=z[1:])
+    return z
+
+
 def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionProfile:
     """Rebuild the even profile from a sampled pendulum swing.
 
-    Interpolates theta by a Hermite spline (the sampled theta' are the
-    exact knot derivatives), accumulates z(s) = int cos(theta), and reads
-    the profile from f(z(s)) = -theta'(s)/lam, f'(z(s)) = tan(theta(s)).
-    The Gauss nodes of interval k come as row k, so each row evaluates
-    interval k's cubic with no search.  Refuses swings that come within
-    1e-6 of |theta| = pi/2, where the tangent map degenerates.
+    Accumulates z(s) = int cos(theta) in closed form, as the exact
+    integral of the Hermite cubic of cos(theta) through the samples (the
+    sampled theta' are the exact knot derivatives), and reads the profile
+    from f(z(s)) = -theta'(s)/lam, f'(z(s)) = tan(theta(s)) by a Hermite
+    spline on those abscissae.  Refuses swings that come within 1e-6 of
+    |theta| = pi/2, where the tangent map degenerates.
     """
     lam = traj.lam
     margin = 0.5 * math.pi - float(np.max(np.abs(traj.theta)))
@@ -144,15 +160,7 @@ def from_pendulum(traj: PendulumTrajectory, n_samples: int = 1024) -> SolutionPr
             f"pendulum angle within {margin:.3e} of pi/2; tangent map refused"
         )
     s, theta, theta_prime = (np.asarray(v, dtype=float) for v in (traj.s, traj.theta, traj.theta_prime))
-    c2, c3 = _hermite_coefficients(s, theta, theta_prime)
-    s0, th0, tp0, c2, c3 = (v[:, None] for v in (s[:-1], theta[:-1], theta_prime[:-1], c2, c3))
-
-    def cos_theta(nodes):
-        d = nodes - s0
-        d2 = d * d
-        return np.cos(th0 + tp0 * d + c2 * d2 + c3 * (d2 * d))
-
-    z_knots = cumulative_gauss(cos_theta, s)
+    z_knots = _swing_abscissae(s, theta, theta_prime)
     T = float(z_knots[-1])
     prof_spline = _hermite(z_knots, -theta_prime / lam, np.tan(theta))
 

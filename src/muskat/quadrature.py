@@ -4,9 +4,10 @@ Endpoint singularities are removed analytically by the callers (e.g. the
 ``tau = sin(phi)`` substitution in the quarter-period oracle of the test
 suite), so a panel-doubling Gauss rule with a Richardson-style stopping
 estimate is all that is needed here.  ``gauss_panels`` serves the generic
-``branch.fourier_sine_coefficient`` and the test oracles; ``cumulative_gauss``
-serves ``pendulum.from_pendulum``, whose integrand is a different cubic on
-each interval, so it hands the integrand its nodes one interval per row.
+``branch.fourier_sine_coefficient`` and the test oracles.
+``cumulative_gauss`` has no library caller: ``pendulum.from_pendulum``
+integrates its swing in closed form.  It stays as an oracle for the tests,
+and because the benchmark's tracer wraps it by name.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import muskat
-from muskat import cli
+from muskat import cli, export
 from muskat.export import read_table, write_table
 from oracles import write_csv_cellwise, write_json_indented
 
@@ -60,6 +60,9 @@ EDGE = {
 }
 EDGE_META = {"kind": "demo", "lambda": 0.5, "l": 2, "gap": math.nan, "note": 'a, "b"', "flag": True}
 EMPTY = {"x": np.array([]), "s": np.array([], dtype=str)}
+MIRRORED = EDGE_FLOATS + [-v for v in EDGE_FLOATS]  # +-0.0, +-nan, +-inf, each magnitude twice
+MIRRORED_TABLE = {"f64": np.array(MIRRORED), "f32": np.array(MIRRORED, dtype=np.float32), "l": np.arange(16)}
+DISTINCT = {"x": np.array([0.5, -0.25, -0.0, math.nan, -math.inf, 1e-300, -2.5e10, 1.0 / 3.0])}
 
 
 def _same_bytes(tmp_path, fmt, metadata, columns, precision=17):
@@ -72,7 +75,11 @@ def _same_bytes(tmp_path, fmt, metadata, columns, precision=17):
 
 @pytest.mark.parametrize("precision", [6, 17])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("columns", [EDGE, EMPTY, {"x": np.array(2.5)}], ids=["edge", "empty", "scalar"])
+@pytest.mark.parametrize(
+    "columns",
+    [EDGE, MIRRORED_TABLE, DISTINCT, EMPTY, {"x": np.array(2.5)}],
+    ids=["edge", "mirrored", "distinct", "empty", "scalar"],
+)
 def test_writer_bytes_of_mixed_tables(tmp_path, fmt, columns, precision):
     _same_bytes(tmp_path, fmt, EDGE_META, columns, precision)
     _same_bytes(tmp_path, fmt, {}, columns, precision)
@@ -124,17 +131,37 @@ def test_writer_bytes_of_an_exported_profile(tmp_path):
         _same_bytes(tmp_path, fmt, {"lambda": prof.lam, "alpha": prof.alpha, "parity": prof.parity}, columns)
 
 
+# -- one format per distinct magnitude, bytes unchanged -----------------------
+
+
+def test_profile_columns_are_formatted_once_per_magnitude(tmp_path, monkeypatch):
+    # f and f' of an exported profile are signed copies of 129 quarter
+    # values, so 513 x + 129 + 129 floats are formatted instead of 3 * 513
+    prof = muskat.negate_profile(muskat.translate_even(muskat.profile_at(0.5), 1))
+    columns = {"x": prof.x, "f": prof.f, "f_prime": prof.f_prime}
+    formatted = []
+    format_floats = export._format_floats
+    monkeypatch.setattr(
+        export, "_format_floats", lambda values, *args: formatted.append(len(values)) or format_floats(values, *args)
+    )
+    for fmt in ("csv", "json"):
+        formatted.clear()
+        _same_bytes(tmp_path, fmt, {"lambda": prof.lam}, columns)
+        assert formatted == [513, 129, 129]
+
+
 # -- plain lists give the bytes of the arrays they came from -----------------
 
 LIST_SOURCES = [
     {"f": np.array([0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.5e10, 1.0 / 3.0]), "l": np.arange(8) - 3},
+    {"f": np.array(MIRRORED), "l": np.arange(16)},
     {"f": np.array([]), "l": np.array([], dtype=int)},
 ]
 
 
 @pytest.mark.parametrize("precision", [6, 17])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("arrays", LIST_SOURCES, ids=["values", "empty"])
+@pytest.mark.parametrize("arrays", LIST_SOURCES, ids=["values", "mirrored", "empty"])
 def test_plain_lists_give_the_bytes_of_arrays(tmp_path, fmt, precision, arrays):
     written = []
     for kind, columns in [

@@ -104,6 +104,21 @@ def test_round_trip_from_a_swing_on_non_uniform_arc_length(lam):
     assert back.period == pytest.approx(even.period, abs=1e-8)
 
 
+@pytest.mark.parametrize("lam", [0.35, 0.5, 0.9, None], ids=["0.35", "0.5", "0.9", "star+1e-3"])
+def test_swing_abscissae_are_the_arc_abscissae(lam):
+    # the closed-form integral of the Hermite cubic of cos(theta) puts the
+    # knots on the arc's x(u), and on uniform knots spans a whole period
+    # to rounding: the slope terms telescope to the periodic trapezoid rule
+    lam = lam or muskat.constants().lambda_star + 1e-3
+    even = even_profile(lam)
+    traj = muskat.to_pendulum(even)
+    arc = Arc(lam, Modulus.of_alpha(even.alpha))
+    z = pendulum_mod._swing_abscissae(traj.s, traj.theta, traj.theta_prime)
+    assert z[0] == 0.0
+    assert np.max(np.abs(z - arc.x(arc.root_lam * traj.s))) <= 5e-11
+    assert abs(muskat.from_pendulum(traj).period - 2.0 * math.pi) <= 1e-13
+
+
 def test_arclength_and_abscissa_are_mutual_inverses():
     even = even_profile(0.6)
     traj = muskat.to_pendulum(even, n_samples=512)
