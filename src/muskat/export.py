@@ -9,20 +9,27 @@ of one length.  Identical inputs produce
 byte-identical files: no timestamps, fixed key order, fixed float
 formatting.  A float column is formatted once per distinct magnitude
 (one formatting call for all of them), and each cell takes its
-magnitude's text, with a '-' where the sign bit is set; the bytes are
-those of formatting every cell on its own.  Writing needs no numpy;
-``read_table`` returns numpy arrays.
+magnitude's text, with a '-' where the sign bit is set.  A contiguous
+float64 column of n > 2 cells that is bitwise ``linspace(0, stop, n)``,
+with 0 < stop < inf, is a uniform grid, such as every profile's x column:
+its text is formatted once per process and kept in a cache of at most
+``GRID_CACHE_SIZE`` grids, keyed on (stop, n, precision, format).  Either
+way the bytes are those of formatting every cell on its own.  Writing
+needs no numpy; ``read_table`` returns numpy arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import sys
 from typing import IO, Mapping, Sequence
 
 __all__ = ["format_float", "read_table", "write_table"]
 
 SCHEMA_VERSION = "1"
+GRID_CACHE_SIZE = 64  # grids whose text is kept, about 12 KB each at 513 cells
 
 
 def format_float(value: float, precision: int = 17) -> str:
@@ -43,15 +50,35 @@ def _format_floats(values: list, precision: int, csv: bool) -> list[str]:
     return json.dumps(values, separators=(",", ":"))[1:-1].split(",")
 
 
-def _float_array_cells(col, precision: int, csv: bool) -> list[str]:
-    """A float array's cells, formatted once per distinct magnitude.
+@functools.lru_cache(maxsize=GRID_CACHE_SIZE)
+def _grid_text(stop: float, n: int, precision: int, csv: bool) -> str:
+    """The cells of linspace(0, stop, n), joined by ','."""
+    import numpy as np
 
-    A dict keyed on the value would merge 0.0 with -0.0, so the magnitudes
-    come from np.unique(|col|) and the sign from the sign bit; NaN, whatever
-    its sign bit, is written unsigned, as the formatters write it.
+    return ",".join(_format_floats(np.linspace(0.0, stop, n).tolist(), precision, csv))
+
+
+def _float_array_cells(col, precision: int, csv: bool) -> list[str]:
+    """A float array's cells: a uniform grid's from the cache, others once per distinct magnitude.
+
+    Only contiguous float64 columns of more than two cells are tested: the
+    library's grids are such columns, and a shorter one costs no more to
+    format than to look up.  The test compares int64 views, so a -0.0
+    first cell is no grid; stop > 0 keeps 0.0 and -0.0 (equal keys, different text) and NaN (a key
+    that never hits) out of the cache.  A dict keyed on the value would
+    merge 0.0 with -0.0, so the magnitudes come from np.unique(|col|) and
+    the sign from the sign bit; NaN, whatever its sign bit, is written
+    unsigned, as the formatters write it.
     """
     import numpy as np  # an array's module, so already loaded
 
+    n = col.size
+    if n > 2 and col.dtype == np.float64 and col.flags.c_contiguous:
+        stop = float(col[-1])
+        if 0.0 < stop < math.inf and np.array_equal(
+            col.view(np.int64), np.linspace(0.0, stop, n).view(np.int64)
+        ):
+            return _grid_text(stop, n, precision, csv).split(",")
     mags, index = np.unique(np.abs(col), return_inverse=True)
     if mags.size == col.size:
         return _format_floats(col.tolist(), precision, csv)
@@ -118,8 +145,11 @@ def write_table(
     """Write a metadata + columns table to ``path`` (stdout when None).
 
     Columns are numpy arrays or plain sequences; both give the same bytes
-    for the same values.  Raises ValueError, before any file is opened, for
-    a table without columns or with columns of different lengths.
+    for the same values.  A float64 array that is a uniform grid from 0
+    (see the module docstring) takes its text from a per-process cache of
+    at most ``GRID_CACHE_SIZE`` grids.  Raises ValueError, before any file
+    is opened, for a table without columns or with columns of different
+    lengths.
     """
     cols = {name: _cells(col, precision, fmt == "csv") for name, col in columns.items()}
     lengths = {len(cells) for cells in cols.values()}

@@ -136,18 +136,102 @@ def test_writer_bytes_of_an_exported_profile(tmp_path):
 
 def test_profile_columns_are_formatted_once_per_magnitude(tmp_path, monkeypatch):
     # f and f' of an exported profile are signed copies of 129 quarter
-    # values, so 513 x + 129 + 129 floats are formatted instead of 3 * 513
-    prof = muskat.negate_profile(muskat.translate_even(muskat.profile_at(0.5), 1))
-    columns = {"x": prof.x, "f": prof.f, "f_prime": prof.f_prime}
+    # values, so 513 x + 129 + 129 floats are formatted instead of 3 * 513;
+    # the x grid is formatted on the first write only, and profiles at
+    # other lambdas share it when their period is the same float
+    profiles = [muskat.negate_profile(muskat.translate_even(muskat.profile_at(lam), 1)) for lam in (0.5, 0.3)]
+    assert profiles[0].x.tobytes() == profiles[1].x.tobytes()
     formatted = []
     format_floats = export._format_floats
     monkeypatch.setattr(
         export, "_format_floats", lambda values, *args: formatted.append(len(values)) or format_floats(values, *args)
     )
+    export._grid_text.cache_clear()
     for fmt in ("csv", "json"):
-        formatted.clear()
-        _same_bytes(tmp_path, fmt, {"lambda": prof.lam}, columns)
-        assert formatted == [513, 129, 129]
+        for prof, expected in zip([profiles[0], *profiles], ([513, 129, 129], [129, 129], [129, 129])):
+            formatted.clear()
+            columns = {"x": prof.x, "f": prof.f, "f_prime": prof.f_prime}
+            _same_bytes(tmp_path, fmt, {"lambda": prof.lam}, columns)
+            assert formatted == expected
+
+
+# -- a uniform grid is formatted once per process, bytes unchanged ------------
+
+TWO_PI = 2.0 * math.pi
+GRID_STOPS = [TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0), TWO_PI / 3.0, 1e-300, 1e300]
+
+
+def _grid_calls():
+    info = export._grid_text.cache_info()
+    return info.hits, info.misses
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [3, 5, 513])
+@pytest.mark.parametrize("stop", GRID_STOPS, ids=["2pi", "2pi-ulp", "2pi+ulp", "2pi/3", "1e-300", "1e300"])
+def test_grid_bytes_on_cache_miss_and_hit(tmp_path, fmt, precision, n, stop):
+    columns = {"x": np.linspace(0.0, stop, n), "l": np.arange(n)}
+    export._grid_text.cache_clear()
+    _same_bytes(tmp_path, fmt, EDGE_META, columns, precision)
+    assert _grid_calls() == (0, 1)
+    _same_bytes(tmp_path, fmt, EDGE_META, columns, precision)
+    assert _grid_calls() == (1, 1)
+
+
+def test_grid_text_is_kept_per_format_and_precision(tmp_path):
+    columns = {"x": np.linspace(0.0, TWO_PI, 5)}
+    export._grid_text.cache_clear()
+    for _ in range(2):
+        for fmt in ("csv", "json"):
+            for precision in (6, 17):
+                _same_bytes(tmp_path, fmt, {}, columns, precision)
+    assert _grid_calls() == (4, 4)
+
+
+def _moved_middle_cell():
+    x = np.linspace(0.0, TWO_PI, 513)
+    x[256] = math.nextafter(x[256], 7.0)
+    return x
+
+
+NEAR_GRIDS = {
+    "minus-zero-first": np.concatenate([[-0.0], np.linspace(0.0, TWO_PI, 513)[1:]]),
+    "middle-cell-1ulp": _moved_middle_cell(),
+    "float32": np.linspace(0.0, TWO_PI, 513, dtype=np.float32),
+    "byte-swapped": np.linspace(0.0, TWO_PI, 513).astype(np.dtype(np.float64).newbyteorder()),
+    "strided": np.linspace(0.0, TWO_PI, 1025)[::2],
+    "decreasing": np.linspace(0.0, TWO_PI, 513)[::-1],
+    "decreasing-from-0": np.linspace(0.0, -TWO_PI, 513),
+    "n1": np.linspace(0.0, TWO_PI, 1),
+    "n2": np.linspace(0.0, TWO_PI, 2),
+    "zero-stop": np.linspace(0.0, 0.0, 5),
+    "minus-zero-stop": np.linspace(0.0, -0.0, 5),
+    "nan-stop": np.linspace(0.0, math.nan, 5),
+}
+with np.errstate(invalid="ignore"):  # 0 * inf in the first cell
+    NEAR_GRIDS["inf-stop"] = np.linspace(0.0, math.inf, 5)
+
+
+@pytest.mark.parametrize("precision", [6, 17])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(NEAR_GRIDS))
+def test_near_grids_take_the_magnitude_path(tmp_path, fmt, precision, name):
+    columns = {"x": NEAR_GRIDS[name]}
+    before = _grid_calls()
+    _same_bytes(tmp_path, fmt, EDGE_META, columns, precision)
+    assert _grid_calls() == before
+
+
+def test_grid_cache_is_bounded(tmp_path):
+    path = str(tmp_path / "grid.csv")
+    export._grid_text.cache_clear()
+    for k in range(200):
+        write_table(path, {}, {"x": np.linspace(0.0, 1.0 + k, 9)})
+    info = export._grid_text.cache_info()
+    assert info.misses == 200
+    assert info.maxsize == export.GRID_CACHE_SIZE
+    assert info.currsize <= info.maxsize
 
 
 # -- plain lists give the bytes of the arrays they came from -----------------
