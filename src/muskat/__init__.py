@@ -16,8 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
-    ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "export", "ivp", "pendulum", "period",
-     "quadrature")
+    ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "export", "pendulum", "period")
 )
 
 #: public name -> the submodule that defines it
@@ -29,20 +28,16 @@ _HOME = {
         "curve",
     ),
     **dict.fromkeys(
-        ("ExpansionFit", "expansion_check", "fourier_sine_coefficient", "negate_profile", "profile_at", "residual",
-         "scale_profile", "translate_even"),
+        ("ExpansionFit", "QuarterProfile", "SolutionProfile", "expansion_check", "extend_odd_periodic",
+         "fourier_sine_coefficient", "negate_profile", "profile_at", "residual", "scale_profile", "translate_even",
+         "zero_profile"),
         "branch",
     ),
     "RunConfig": "config",
     **dict.fromkeys(
-        ("ConfigError", "ConvergenceError", "DomainError", "EventNotFoundError", "IntegrationError", "MuskatError",
-         "OutOfRangeError", "ParityError", "SaturationError", "SingularityError"),
+        ("ConfigError", "ConvergenceError", "DomainError", "MuskatError", "OutOfRangeError", "ParityError",
+         "SaturationError", "SingularityError"),
         "errors",
-    ),
-    **dict.fromkeys(
-        ("QuarterProfile", "SolutionProfile", "State", "energy", "extend_odd_periodic", "integrate",
-         "quarter_period", "solve_quarter", "zero_profile"),
-        "ivp",
     ),
     **dict.fromkeys(
         ("PendulumTrajectory", "from_pendulum", "lambda_of_period", "pendulum_period", "to_pendulum"), "pendulum"

@@ -2,40 +2,44 @@
 
 The scalar branch (slopes, regimes, branch points, coexistence windows)
 lives in ``curve`` and is re-exported here, as the same objects, next to
-the numpy profile layer: the odd 2*pi profile of a branch point, its mode
-rescaling, its even twin (a quarter-period translation), its mirror, the
-residual diagnostics, and the fit of the bifurcation coefficient.
+the numpy profile layer: the profile containers, the odd periodic
+extension of a quarter arc, the odd 2*pi profile of a branch point, its
+mode rescaling, its even twin (a quarter-period translation), its mirror,
+the residual diagnostics, and the fit of the bifurcation coefficient.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import elliptic, ivp
+from . import elliptic
 from .agm import Modulus
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
     ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda, _newton_b,
     alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
     lambda_of_gamma, trace_branch,
 )
-from .errors import DomainError, OutOfRangeError, ParityError
-from .ivp import SolutionProfile
-from .quadrature import gauss_panels
+from .errors import ConvergenceError, DomainError, OutOfRangeError, ParityError
 
 __all__ = [
     "Branch",
     "BranchPoint",
     "ExpansionFit",
     "PhysicalParams",
+    "QuarterProfile",
     "Regime",
     "RegimeKind",
+    "SolutionProfile",
     "alpha_of_lambda",
     "branch_amplitude",
     "coexistence_levels",
     "expansion_check",
+    "extend_odd_periodic",
     "fourier_sine_coefficient",
     "gamma_bar",
     "gamma_of_lambda",
@@ -48,16 +52,155 @@ __all__ = [
     "scale_profile",
     "trace_branch",
     "translate_even",
+    "zero_profile",
 ]
+
+
+@dataclass
+class QuarterProfile:
+    """Quarter-period arc on [0, theta_end], from the zero crossing to the crest.
+
+    ``dense`` maps x arrays to (f, f'); the reflection machinery and all
+    resampling draw from it.  ``profile_at`` fills it with the closed-form
+    Jacobi arc.
+    """
+
+    lam: float
+    alpha: float
+    theta_end: float
+    dense: object = field(repr=False, default=None, compare=False)
+
+
+Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass
+class SolutionProfile:
+    """Sampled steady profile over one full period.
+
+    ``evaluate`` maps arbitrary x arrays to dense (f, f') values; profiles
+    reconstructed from files carry samples only (evaluate is None).
+    """
+
+    lam: float
+    alpha: float
+    period: float
+    parity: str  # "odd" or "even"
+    x: np.ndarray
+    f: np.ndarray
+    f_prime: np.ndarray
+    evaluate: Optional[Evaluator] = field(repr=False, default=None, compare=False)
+
+    def max_abs_f(self) -> float:
+        return float(np.max(np.abs(self.f)))
+
+
+def _odd_extension_evaluator(dense, theta_end: float) -> Evaluator:
+    """Dense (f, f') on all of R from the quarter arc via odd reflection.
+
+    With y = x mod 4*theta and quadrant q = floor(y / theta):
+    q=0: (F(y), G(y));  q=1: (F(2t-y), -G(2t-y));
+    q=2: (-F(y-2t), -G(y-2t));  q=3: (-F(4t-y), G(4t-y)).
+    A folded u within the rounding of the fold (4 eps period) is the zero
+    crossing itself: linspace(0, 2 pi, 4k + 1)[2k] is pi + 4.4e-16, and
+    near b = 0 f' changes by a relative 1e-8 over that distance.
+    """
+    period = 4.0 * theta_end
+    snap = 4.0 * np.finfo(float).eps * period
+
+    def ev(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.mod(x, period)
+        q = np.clip(np.floor_divide(y, theta_end).astype(int), 0, 3)
+        r = y - q * theta_end
+        u = np.where(q % 2 == 0, r, theta_end - r)
+        u = np.where(u <= snap, 0.0, u)
+        # the quadrants fold a symmetric grid onto repeated abscissae
+        u_distinct, inverse = np.unique(u, return_inverse=True)
+        f, g = dense(u_distinct)
+        sign_f = np.where(q <= 1, 1.0, -1.0)
+        sign_g = np.where((q == 0) | (q == 3), 1.0, -1.0)
+        return sign_f * f[inverse], sign_g * g[inverse]
+
+    return ev
+
+
+def _reflect_quarter(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples on the closed grid of 4k intervals from the k + 1 quarter samples.
+
+    The quarter runs from the zero crossing (index 0) to the crest (index
+    k); the other three quadrants are its odd reflections, so the last
+    sample is -F[0] (zero up to the arc's rounding).
+    """
+    back_f, back_g = F[-2::-1], G[-2::-1]
+    f = np.concatenate((F, back_f, -F[1:], -back_f))
+    fp = np.concatenate((G, -back_g, -G[1:], back_g))
+    return f, fp
+
+
+def extend_odd_periodic(q: QuarterProfile, n_samples: int = 513) -> SolutionProfile:
+    """Full-period odd profile from a quarter arc via the reflection rules.
+
+    The profile has period 4 * theta_end, satisfies f(-x) = -f(x), and is
+    sampled on a uniform closed grid of ``n_samples`` points.  When
+    n_samples = 4k + 1 (the default gives 512 intervals per period) the
+    grid contains the quarter-period points: ``q.dense`` is called once, on
+    the k + 1 abscissae of the first quarter, and the other quarters are
+    its exact odd reflection, so the sampled peak is the closed-form
+    amplitude.  Other grids evaluate the folded abscissae directly.
+    ``evaluate`` folds any x onto the quarter either way.
+    """
+    if q.dense is None:
+        raise DomainError("quarter profile lacks dense output")
+    period = 4.0 * q.theta_end
+    ev = _odd_extension_evaluator(q.dense, q.theta_end)
+    xs = np.linspace(0.0, period, n_samples)
+    k, rem = divmod(n_samples - 1, 4)
+    if rem == 0:
+        f, fp = _reflect_quarter(*q.dense(xs[: k + 1]))
+    else:
+        f, fp = ev(xs)
+    return SolutionProfile(
+        lam=q.lam,
+        alpha=q.alpha,
+        period=period,
+        parity="odd",
+        x=xs,
+        f=f,
+        f_prime=fp,
+        evaluate=ev,
+    )
+
+
+def zero_profile(lam: float, period: float = 2.0 * math.pi, n_samples: int = 513) -> SolutionProfile:
+    """The flat trajectory f = 0 (the trivial branch member)."""
+
+    def ev(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        z = np.zeros_like(x)
+        return z, z.copy()
+
+    xs = np.linspace(0.0, period, n_samples)
+    zeros = np.zeros(n_samples)
+    return SolutionProfile(
+        lam=lam,
+        alpha=0.0,
+        period=period,
+        parity="odd",
+        x=xs,
+        f=zeros,
+        f_prime=zeros.copy(),
+        evaluate=ev,
+    )
 
 
 def _profile(lam: float, mod: Modulus, n_samples: int) -> SolutionProfile:
     """The odd 2*pi profile of the branch point at lam, from the record ``mod`` of its slope."""
     if mod.alpha == 0.0:
-        return ivp.zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
+        return zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
     arc = elliptic.Arc(lam, mod)
-    q = ivp.QuarterProfile(lam=lam, alpha=mod.alpha, theta_end=arc.quarter, dense=arc.rising_quarter)
-    return ivp.extend_odd_periodic(q, n_samples=n_samples)
+    q = QuarterProfile(lam=lam, alpha=mod.alpha, theta_end=arc.quarter, dense=arc.rising_quarter)
+    return extend_odd_periodic(q, n_samples=n_samples)
 
 
 def profile_at(lam: float, n_samples: int = 513) -> SolutionProfile:
@@ -204,6 +347,39 @@ def residual(s: SolutionProfile) -> tuple[float, float]:
     return float(np.max(np.abs(res))), float(abs(mean))
 
 
+@lru_cache(maxsize=8)
+def _nodes(n: int):
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_panels(fn, a, b, tol=1e-12, n_nodes=64, max_panels=64):
+    """Integrate a smooth vectorised ``fn`` over [a, b] by composite Gauss-Legendre.
+
+    Starts from a single ``n_nodes``-point panel and doubles the panel count
+    until two successive estimates agree to ``tol``.  Raises
+    ConvergenceError if they do not by ``max_panels`` panels (for the
+    analytic integrands it serves one or two panels converge).
+    """
+    x, w = _nodes(n_nodes)
+    prev = None
+    panels = 1
+    while True:
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * (edges[1] - edges[0])
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        nodes = (mids[:, None] + half * x[None, :]).ravel()
+        cur = half * float(np.dot(fn(nodes).reshape(panels, n_nodes).sum(axis=0), w))
+        if prev is not None and abs(cur - prev) <= tol:
+            return cur
+        if panels >= max_panels:
+            raise ConvergenceError(
+                f"Gauss quadrature on [{a:.6g}, {b:.6g}] not converged to tol={tol:g} "
+                f"at {panels} panels (estimate {cur:.16g})"
+            )
+        prev = cur
+        panels *= 2
+
+
 def fourier_sine_coefficient(s: SolutionProfile, k: int = 1, tol: float = 1e-13) -> float:
     """Coefficient of sin(2 pi k x / T) of the profile over one period.
 
@@ -235,6 +411,13 @@ class ExpansionFit:
     eps: tuple[float, ...]
     gammas: tuple[float, ...]
     ratios: tuple[float, ...]
+
+
+#: validated eps window of ``expansion_check``.  (gamma - gamma_bar)/eps^2
+#: subtracts two rounded gammas: the single-eps ratio's relative deviation
+#: from 3/8 is at most 1.7e-7 for l = 1, 2, 3 and 6 at eps >= 1e-5, but
+#: 2.3e-5 at 3e-6, 6.8e-4 at 1e-6 and 1.0 at 1e-8 (l = 1).
+EPS_WINDOW = (1e-5, 0.1)
 
 
 def _sine_coefficient(mod: Modulus, n_nodes: int = 64) -> float:
@@ -288,17 +471,24 @@ def expansion_check(
     are then extrapolated to eps -> 0 by a least-squares fit in eps^2.  The
     limit is 3 g (rho_plus - rho_minus) / 8 for every l.
 
-    Raises OutOfRangeError for an eps at or above c1(b=0)/l, where c1(b=0)
-    (about 3.066268) is the sup of the first coefficient over the branch.
+    Raises DomainError for an empty list, a repeated eps (the fit would be
+    rank-deficient) or an eps outside ``EPS_WINDOW``, which it cannot
+    resolve, and OutOfRangeError for an eps at or above c1(b=0)/l, where
+    c1(b=0) (about 3.066268) is the sup of the first coefficient over the
+    branch.
     """
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     eps_sorted = tuple(sorted(float(e) for e in eps_list))
     if not eps_sorted:
         raise DomainError("eps_list must not be empty")
+    lo, hi = EPS_WINDOW
     for e in eps_sorted:
-        if not 0.0 < e <= 0.1:
-            raise DomainError(f"eps values must lie in (0, 0.1], got {e}")
+        if not lo <= e <= hi:
+            raise DomainError(f"eps values must lie in [{lo:g}, {hi:g}], got {e}")
+    for e, after in zip(eps_sorted, eps_sorted[1:]):
+        if e == after:
+            raise DomainError(f"eps values must be distinct, got {e} twice")
     eps_sup = _sine_coefficient(Modulus.of_b(0.0)) / l
     if eps_sorted[-1] >= eps_sup:
         raise OutOfRangeError(

@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--l", type=int, default=1, help="mode number")
     sp.add_argument(
-        "--eps", default="0.02,0.04,0.08", help="comma-separated amplitude parameters in (0, 0.1]"
+        "--eps", default="0.02,0.04,0.08", help="comma-separated distinct amplitude parameters in [1e-5, 0.1]"
     )
 
     return parser
@@ -240,19 +240,17 @@ def cmd_profile(cfg: RunConfig, args) -> None:
 
 
 def cmd_pendulum(cfg: RunConfig, args) -> None:
-    from . import branch as branch_mod
     from . import pendulum as pendulum_mod
 
-    p = cfg.physical()
     lam = _base_lambda(cfg, args, 1)
-    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples)
-    even = branch_mod.translate_even(prof, 1)
-    traj = pendulum_mod.to_pendulum(even, n_samples=cfg.n_samples)
-    L_formula = pendulum_mod.pendulum_period(lam)
+    # one slope solve: the swing of its arc (crest up) and the branch-form period 2 pi/Q
+    mod = curve._modulus_of_lambda(lam)
+    traj = pendulum_mod._sample_swing(lam, mod, cfg.n_samples)
+    L_formula = 2.0 * math.pi / mod.Q
     metadata = {
         "kind": "pendulum",
         "lambda": lam,
-        "alpha": prof.alpha,
+        "alpha": mod.alpha,
         "theta_max": traj.theta_max,
         "L_formula": L_formula,
         "L_arclength": traj.period_L,

@@ -27,20 +27,8 @@ class SaturationError(MuskatError, RuntimeError):
     """The branch slope exceeds the cap ALPHA_MAX; the point is beyond numerical reach."""
 
 
-class EventNotFoundError(MuskatError, RuntimeError):
-    """The slope never crossed zero within the safety horizon.
-
-    The crossing provably exists for alpha > 0, so hitting this signals an
-    integration bug rather than a modelling issue.
-    """
-
-
 class ConvergenceError(MuskatError, RuntimeError):
     """An iteration hit its step bound before reaching its tolerance."""
-
-
-class IntegrationError(MuskatError, RuntimeError):
-    """The adaptive stepper stalled; the message carries the location."""
 
 
 class ParityError(MuskatError, ValueError):

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import curve
 from .agm import Modulus, constants
+from .branch import SolutionProfile
 from .elliptic import Arc
 from .errors import DomainError, OutOfRangeError, ParityError, SingularityError
-from .ivp import SolutionProfile
 
 __all__ = [
     "PendulumTrajectory",
@@ -67,6 +67,24 @@ class PendulumTrajectory:
 CREST_REL_TOL = 1e-6
 
 
+def _sample_swing(lam: float, mod: Modulus, n_samples: int, sign: float = 1.0) -> PendulumTrajectory:
+    """The swing of the Jacobi arc of (lam, mod), sampled uniformly in arc length over one period.
+
+    ``sign`` is the sign of the profile's crest f(0).
+    """
+    arc = Arc(lam, mod)
+    s = np.linspace(0.0, arc.length, n_samples)
+    theta, theta_prime = arc.swing(arc.root_lam * s)
+    return PendulumTrajectory(
+        lam=lam,
+        s=s,
+        theta=sign * theta,
+        theta_prime=sign * theta_prime,
+        period_L=arc.length,
+        theta_max=math.atan(mod.alpha),
+    )
+
+
 def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTrajectory:
     """Map an even profile to its pendulum swing.
 
@@ -78,7 +96,6 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
     """
     if profile.parity != "even":
         raise ParityError(f"to_pendulum requires an even profile, got parity={profile.parity!r}")
-    arc = Arc(profile.lam, Modulus.of_alpha(profile.alpha))
     crest = float(profile.f[0])
     height = curve.max_amplitude(profile.lam, profile.alpha)
     if abs(abs(crest) - height) > CREST_REL_TOL * max(height, 1.0):
@@ -87,16 +104,7 @@ def to_pendulum(profile: SolutionProfile, n_samples: int = 1024) -> PendulumTraj
             f"of lambda={profile.lam:.12g}, alpha={profile.alpha:.6g}"
         )
     sign = -1.0 if crest < 0.0 else 1.0
-    s = np.linspace(0.0, arc.length, n_samples)
-    theta, theta_prime = arc.swing(arc.root_lam * s)
-    return PendulumTrajectory(
-        lam=profile.lam,
-        s=s,
-        theta=sign * theta,
-        theta_prime=sign * theta_prime,
-        period_L=arc.length,
-        theta_max=math.atan(profile.alpha),
-    )
+    return _sample_swing(profile.lam, Modulus.of_alpha(profile.alpha), n_samples, sign)
 
 
 def _hermite(x, y, dydx):

@@ -19,17 +19,32 @@ sqrt(2 / lambda_star), which the library takes from the AGM instead.
 ``write_csv_cellwise`` and ``write_json_indented`` are the table writers
 as they formatted every cell on its own; the library's writers must give
 their bytes.
+
+``integrate``, ``quarter_period`` and ``solve_quarter`` are the ODE route
+to the steady profile: scipy's RK45 on the first-order system
+
+    f' = g,    g' = -lam * f * (1 + g^2)^(3/2),    (f, g)(0) = (0, alpha),
+
+with the quarter period located as the first zero of g by event
+detection.  ``energy`` is its exact first integral 1/sqrt(1 + g^2) -
+lam f^2 / 2 (equal to beta = 1/sqrt(1 + alpha^2) along trajectories).
+``cumulative_gauss`` is a per-interval Gauss rule, the second route to
+the arc length that ``pendulum`` takes in closed form.
 """
 
 import json
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
+from muskat import period as period_mod
 from muskat.agm import _agm, _complete, beta_of_alpha
+from muskat.branch import QuarterProfile, gauss_panels
 from muskat.elliptic import _landen
+from muskat.errors import DomainError
 from muskat.export import SCHEMA_VERSION, format_float
-from muskat.quadrature import gauss_panels
 
 
 def ellipk(m):
@@ -149,3 +164,143 @@ def swing_period_gauss(lam, alpha, tol=1e-12):
         return 1.0 / np.sqrt(1.0 - k2 * np.sin(t) ** 2)
 
     return (2.0 / math.sqrt(lam)) * gauss_panels(integrand, -0.5 * math.pi, 0.5 * math.pi, tol=tol)
+
+
+def cumulative_gauss(fn, knots, n_nodes=8):
+    """Cumulative integral of ``fn`` at ``knots`` (per-interval Gauss rule).
+
+    Returns an array c with c[0] = 0 and c[k] = integral from knots[0] to
+    knots[k].  The knots need not be uniformly spaced but must increase.
+    ``fn`` gets the nodes as an (n_intervals, n_nodes) array whose row k
+    lies on [knots[k], knots[k + 1]], and returns its values in that shape.
+    """
+    knots = np.asarray(knots, dtype=float)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    a, b = knots[:-1], knots[1:]
+    half = 0.5 * (b - a)
+    mids = 0.5 * (a + b)
+    vals = fn(mids[:, None] + half[:, None] * x[None, :])
+    out = np.empty(knots.size, dtype=float)
+    out[0] = 0.0
+    np.cumsum(half * (vals @ w), out=out[1:])
+    return out
+
+
+class EventNotFoundError(RuntimeError):
+    """The slope never crossed zero within the safety horizon (a bug: the crossing exists for alpha > 0)."""
+
+
+class IntegrationError(RuntimeError):
+    """The adaptive stepper stalled; the message carries the location."""
+
+
+@dataclass(frozen=True)
+class State:
+    """A single trajectory point (x, f, f')."""
+
+    x: float
+    f: float
+    g: float
+
+
+def energy(s, lam):
+    """First integral 1/sqrt(1 + g^2) - lam f^2 / 2 (constant = beta)."""
+    return 1.0 / math.sqrt(1.0 + s.g * s.g) - lam * s.f * s.f / 2.0
+
+
+def _rhs(lam):
+    def rhs(x, y):
+        f, g = y
+        return (g, -lam * f * (1.0 + g * g) ** 1.5)
+
+    return rhs
+
+
+def _first_step(alpha):
+    # g'' grows like lam*f*alpha^3 near x=0; a conservative start avoids
+    # rejected-step cascades on steep profiles
+    if alpha > 1.0:
+        return min(1e-2, 1e-3 / alpha)
+    return None
+
+
+def _solve(lam, alpha, x_end, tol, with_event):
+    events = None
+    if with_event:
+        def slope_zero(x, y):
+            return y[1]
+
+        slope_zero.terminal = True
+        slope_zero.direction = -1.0
+        events = slope_zero
+    sol = solve_ivp(
+        _rhs(lam),
+        (0.0, x_end),
+        (0.0, alpha),
+        method="RK45",
+        rtol=tol,
+        atol=tol,
+        dense_output=True,
+        events=events,
+        first_step=_first_step(alpha),
+    )
+    if sol.status == -1:
+        raise IntegrationError(f"stepper failed at x={sol.t[-1]:.9g}: {sol.message}")
+    return sol
+
+
+def _solve_to_crest(lam, alpha, tol):
+    """The solution up to the first zero of g, and that zero."""
+    horizon = 4.0 * period_mod.theta_limit_zero(lam)
+    sol = _solve(lam, alpha, horizon, tol, with_event=True)
+    if sol.t_events[0].size == 0:
+        raise EventNotFoundError(
+            f"slope never vanished on [0, {horizon:.6g}] for lambda={lam}, alpha={alpha}"
+        )
+    return sol, float(sol.t_events[0][0])
+
+
+def integrate(lam, alpha, x_end, tol=1e-10):
+    """Adaptive trajectory of the steady system from (f, g)(0) = (0, alpha).
+
+    Returns the accepted integration steps as States.  Local error per step
+    is bounded by ``tol``; the first-integral drift over [0, x_end] stays
+    within roughly 10 * tol.
+    """
+    if lam <= 0.0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if alpha < 0.0:
+        raise DomainError(f"alpha must be nonnegative, got {alpha}")
+    if x_end <= 0.0:
+        raise DomainError(f"x_end must be positive, got {x_end}")
+    if tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
+    sol = _solve(lam, alpha, x_end, tol, with_event=False)
+    return [State(x=float(x), f=float(f), g=float(g)) for x, f, g in zip(sol.t, sol.y[0], sol.y[1])]
+
+
+def quarter_period(lam, alpha, tol=1e-10):
+    """Smallest x > 0 with f'(x) = 0, the ODE route to ``period.theta``."""
+    if lam <= 0.0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if alpha <= 0.0:
+        raise DomainError(f"quarter_period requires alpha > 0, got {alpha}")
+    return _solve_to_crest(lam, alpha, tol)[1]
+
+
+@dataclass
+class SampledQuarter(QuarterProfile):
+    """A quarter arc from the ODE route: the stepper's interpolant and a few sampled states."""
+
+    samples: list = field(default_factory=list)
+
+
+def solve_quarter(lam, alpha, tol=1e-10, n_samples=129):
+    """Integrate up to the quarter-period event and keep the dense output."""
+    if alpha <= 0.0:
+        raise DomainError(f"solve_quarter requires alpha > 0, got {alpha}")
+    sol, theta_end = _solve_to_crest(lam, alpha, tol)
+    xs = np.linspace(0.0, theta_end, n_samples)
+    fg = sol.sol(xs)
+    samples = [State(x=float(x), f=float(f), g=float(g)) for x, f, g in zip(xs, fg[0], fg[1])]
+    return SampledQuarter(lam=lam, alpha=alpha, theta_end=theta_end, dense=sol.sol, samples=samples)

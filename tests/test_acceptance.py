@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import energy, integrate, quarter_period, solve_quarter
 from scipy.integrate import quad
 
 import muskat
@@ -75,7 +76,7 @@ def test_criterion_03_dual_oracle_quarter_period():
     worst = 0.0
     for lam in GRID_LAMBDA:
         for alpha in GRID_ALPHA:
-            diff = abs(muskat.theta(lam, alpha) - muskat.quarter_period(lam, alpha))
+            diff = abs(muskat.theta(lam, alpha) - quarter_period(lam, alpha))
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -88,10 +89,10 @@ def test_criterion_04_energy_conservation():
     worst = 0.0
     for lam in GRID_LAMBDA:
         for alpha in GRID_ALPHA:
-            horizon = muskat.quarter_period(lam, alpha)
+            horizon = quarter_period(lam, alpha)
             beta = muskat.beta_of_alpha(alpha)
-            states = muskat.integrate(lam, alpha, horizon)
-            drift = max(abs(muskat.energy(s, lam) - beta) for s in states)
+            states = integrate(lam, alpha, horizon)
+            drift = max(abs(energy(s, lam) - beta) for s in states)
             worst = max(worst, drift)
     ok = worst <= 1e-8
     report(4, "first-integral drift", ok, f"worst={worst:.2e}")
@@ -102,7 +103,7 @@ def test_criterion_05_amplitude_closed_form():
     worst = 0.0
     for lam in GRID_LAMBDA:
         for alpha in GRID_ALPHA:
-            crest = muskat.solve_quarter(lam, alpha).samples[-1].f
+            crest = solve_quarter(lam, alpha).samples[-1].f
             worst = max(worst, abs(crest - muskat.max_amplitude(lam, alpha)))
     ok = worst <= 1e-8
     report(5, "ODE crest vs closed-form amplitude", ok, f"worst={worst:.2e}")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import quarter_period
 from scipy.optimize import brentq
 
 import muskat
@@ -72,7 +73,7 @@ def test_alpha_at_first_bifurcation_point():
 def test_alpha_root_verified_by_both_routes():
     a = muskat.alpha_of_lambda(0.5)
     assert muskat.theta(0.5, a) == pytest.approx(math.pi / 2, abs=1e-11)
-    assert muskat.quarter_period(0.5, a, tol=1e-11) == pytest.approx(math.pi / 2, abs=1e-8)
+    assert quarter_period(0.5, a, tol=1e-11) == pytest.approx(math.pi / 2, abs=1e-8)
 
 
 def test_alpha_out_of_range():
@@ -454,6 +455,18 @@ def test_expansion_eps_validation():
         muskat.expansion_check(P_UNIT, l=1, eps_list=(0.5,))
     with pytest.raises(DomainError):
         muskat.expansion_check(P_UNIT, l=1, eps_list=())
+
+
+def test_expansion_eps_it_cannot_resolve_or_repeated_is_refused():
+    # below 1e-5 (gamma - gamma_bar)/eps^2 loses its digits to rounding, and
+    # a repeated eps leaves the fit in eps^2 rank-deficient
+    lo, hi = branch_mod.EPS_WINDOW
+    assert (lo, hi) == (1e-5, 0.1)
+    for eps_list in ((1e-9,), (1e-300,), (0.02, math.nextafter(lo, 0.0)), (0.01, 0.01), (0.02, 0.04, 0.02)):
+        with pytest.raises(DomainError, match="eps values"):
+            muskat.expansion_check(P_UNIT, l=1, eps_list=eps_list)
+    fit = muskat.expansion_check(P_UNIT, l=1, eps_list=(lo,))
+    assert fit.coefficient == pytest.approx(0.375, rel=1.7e-7)
 
 
 def test_expansion_eps_beyond_the_coefficient_sup():

@@ -420,6 +420,17 @@ def test_expansion_check_out_of_window_is_bad_input(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", ["1e-9", "1e-300", "0.01,0.01"])
+def test_expansion_check_refuses_eps_it_cannot_resolve(tmp_path, capsys, eps):
+    # 1e-9 used to exit 0 with relative_deviation 1.0, 1e-300 to crash on
+    # eps**2 underflowing, and a repeated eps to pass a rank-deficient fit
+    out = tmp_path / "fit.csv"
+    assert run(["expansion-check", "--eps", eps, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eps values must ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_convergence_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatch):
     def unconverged(*args, **kwargs):
         raise muskat.ConvergenceError("iteration not converged")
@@ -434,8 +445,7 @@ def test_convergence_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatc
 #: exit code of each library error in the CLI: 2 for invalid input, 1 for a numerical failure
 EXIT_CODES = {
     "ConfigError": 2, "DomainError": 2, "OutOfRangeError": 2, "ParityError": 2,
-    "ConvergenceError": 1, "EventNotFoundError": 1, "IntegrationError": 1, "SaturationError": 1,
-    "SingularityError": 1,
+    "ConvergenceError": 1, "SaturationError": 1, "SingularityError": 1,
 }
 
 
@@ -458,8 +468,9 @@ def test_exit_code_follows_the_error_kind(tmp_path, capsys, monkeypatch, error):
 
 
 def test_no_scipy_on_the_import_path(tmp_path):
-    # scipy serves only the ODE oracle and the tests; a child that imports
-    # the package and runs every subcommand must never load it
+    # scipy serves only the test oracles; a child that imports the package
+    # and runs every subcommand must never load it, nor the quarter-period
+    # map or a deleted oracle module
     commands = [
         ["constants"],
         ["classify", "--h", "1"],
@@ -474,14 +485,15 @@ def test_no_scipy_on_the_import_path(tmp_path):
         "import muskat, muskat.cli, muskat.export\n"
         "codes = [muskat.cli.main(argv + ['--out', f'{sys.argv[2]}/{i}.out'])\n"
         "         for i, argv in enumerate(json.loads(sys.argv[1]))]\n"
-        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')]))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'\n"
+        "                                 or m in ('muskat.period', 'muskat.ivp', 'muskat.quadrature'))]))\n"
     )
     path = [os.path.dirname(muskat.__path__[0]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    codes, scipy_modules = json.loads(proc.stdout)
+    codes, oracle_modules = json.loads(proc.stdout)
     assert codes == [0] * len(commands), proc.stderr
-    assert scipy_modules == []
+    assert oracle_modules == []
     assert len(list(tmp_path.iterdir())) == len(commands)

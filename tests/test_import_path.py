@@ -18,21 +18,26 @@ ROOT = Path(__file__).resolve().parents[1]
 
 #: the names ``muskat`` exported when its ``__init__`` imported every
 #: submodule, less ``beta`` and ``log_gamma``, which left with the log-gamma
-#: route to the constants
+#: route to the constants, and less the ODE route (``State``, ``energy``,
+#: ``integrate``, ``quarter_period``, ``solve_quarter`` and its two errors),
+#: which left for ``tests/oracles.py``
 PACKAGE_NAMES = [
-    "Branch", "BranchPoint", "ConfigError", "Constants", "ConvergenceError", "DomainError", "EventNotFoundError",
-    "ExpansionFit", "IntegrationError", "MuskatError", "OutOfRangeError", "ParityError", "PendulumTrajectory",
+    "Branch", "BranchPoint", "ConfigError", "Constants", "ConvergenceError", "DomainError",
+    "ExpansionFit", "MuskatError", "OutOfRangeError", "ParityError", "PendulumTrajectory",
     "PhysicalParams", "QuarterProfile", "Regime", "RegimeKind", "RunConfig", "SaturationError", "SingularityError",
-    "SolutionProfile", "State", "alpha_of_lambda", "beta_of_alpha", "branch_amplitude",
-    "coexistence_levels", "constants", "dtheta_dalpha", "energy", "expansion_check", "extend_odd_periodic",
-    "fourier_sine_coefficient", "from_pendulum", "gamma_bar", "gamma_of_lambda", "integrate", "lambda_floor",
+    "SolutionProfile", "alpha_of_lambda", "beta_of_alpha", "branch_amplitude",
+    "coexistence_levels", "constants", "dtheta_dalpha", "expansion_check", "extend_odd_periodic",
+    "fourier_sine_coefficient", "from_pendulum", "gamma_bar", "gamma_of_lambda", "lambda_floor",
     "lambda_h", "lambda_of_gamma", "lambda_of_period", "max_amplitude", "negate_profile",
-    "pendulum_period", "profile_at", "quarter_period", "residual", "scale_profile", "solve_quarter", "theta",
+    "pendulum_period", "profile_at", "residual", "scale_profile", "theta",
     "theta_limit_infinity", "theta_limit_zero", "to_pendulum", "trace_branch", "translate_even", "zero_profile",
 ]
 #: the submodules that were attributes of the package after ``import muskat``,
-#: less ``roots`` (the Brent port) and ``special`` (the log-gamma route)
-PACKAGE_MODULES = ["branch", "config", "elliptic", "errors", "ivp", "pendulum", "period", "quadrature"]
+#: less ``roots`` (the Brent port), ``special`` (the log-gamma route), and
+#: ``ivp`` and ``quadrature`` (the ODE and cumulative Gauss oracle routes)
+PACKAGE_MODULES = ["branch", "config", "elliptic", "errors", "pendulum", "period"]
+#: the library modules that are gone; the benchmark's tracer skips them
+REMOVED_MODULES = ["ivp", "quadrature", "roots", "special"]
 #: ``muskat.branch.__all__`` before the scalar branch moved to ``curve``
 BRANCH_NAMES = [
     "Branch", "BranchPoint", "ExpansionFit", "PhysicalParams", "Regime", "RegimeKind", "alpha_of_lambda",
@@ -88,10 +93,10 @@ def test_public_names_are_their_defining_objects():
     for name in PACKAGE_MODULES:
         assert getattr(muskat, name) is importlib.import_module(f"muskat.{name}")
     assert set(muskat.__all__) <= set(dir(muskat))
-    for removed in ("alpha_max", "log_gamma", "beta", "roots", "special"):
+    for removed in ("alpha_max", "log_gamma", "beta", "integrate", "solve_quarter", *REMOVED_MODULES):
         with pytest.raises(AttributeError, match=f"no attribute '{removed}'"):
             getattr(muskat, removed)
-    for removed in ("roots", "special"):
+    for removed in REMOVED_MODULES:
         assert importlib.util.find_spec(f"muskat.{removed}") is None
     with pytest.raises(ImportError):
         from muskat import not_a_name  # noqa: F401
@@ -105,7 +110,6 @@ def test_branch_keeps_its_names_as_the_scalar_objects():
     for name in curve_mod.__all__:
         if name != "max_amplitude":
             assert getattr(branch_mod, name) is getattr(curve_mod, name), name
-    assert muskat.ivp.max_amplitude is curve_mod.max_amplitude
     # one record per AGM: the slope -> (K, S, Q) entry points left with it
     agm_mod = importlib.import_module("muskat.agm")
     for removed in ("_arc_agm", "complete_integrals"):
@@ -117,15 +121,34 @@ def test_branch_keeps_its_names_as_the_scalar_objects():
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
     # bench/tracer.py wraps these by getattr on each imported module, so a
-    # missing name would crash every traced run
+    # missing name would crash every traced run; a module that is not
+    # imported is skipped, so a deleted module must not be importable
     spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert len(tracer.TRACED["branch"]) == 12
     for mod_name, names in tracer.TRACED.items():
+        if mod_name in REMOVED_MODULES:
+            assert importlib.util.find_spec(f"muskat.{mod_name}") is None, mod_name
+            continue
         home = importlib.import_module(f"muskat.{mod_name}")
         for name in names:
             assert callable(getattr(home, name)), f"{mod_name}.{name}"
+
+
+def test_traced_benchmark_worker_runs_every_command(tmp_path):
+    # the traced cli-mix worker replays all seven commands in-process, so the
+    # tracer installs over every production module the commands import
+    out = tmp_path / "trace1.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "worker.py"), "--workload", "cli-mix", "--seed", "11",
+         "--mode", "trace1", "--out", str(out), "--tmp", str(tmp_path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *records, last = (json.loads(line) for line in out.read_text().splitlines())
+    assert records and all(r["error"] is None and r["out"]["exit"] == 0 for r in records)
+    assert last["trace"]["calls"]
 
 
 def test_branch_column_is_an_ndarray():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import swing_period_gauss
+from oracles import cumulative_gauss, swing_period_gauss
 from scipy.interpolate import CubicHermiteSpline
 from scipy.special import ellipk
 
@@ -13,7 +13,6 @@ from muskat import DomainError, OutOfRangeError, ParityError, SingularityError
 from muskat import pendulum as pendulum_mod
 from muskat.agm import Modulus
 from muskat.elliptic import Arc
-from muskat.quadrature import cumulative_gauss
 
 
 def even_profile(lam, n_samples=513):

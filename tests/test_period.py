@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dtheta_dalpha_gauss, theta_gauss
+from oracles import dtheta_dalpha_gauss, quarter_period, theta_gauss
 from scipy.integrate import quad
 
 import muskat
@@ -116,7 +116,7 @@ def test_dtheta_dalpha_huge_slope_is_finite():
 @pytest.mark.parametrize("lam,alpha", [(0.5, 0.5), (1.0, 2.0), (0.35, 8.0)])
 def test_consistency_with_ode_route(lam, alpha):
     assert muskat.theta(lam, alpha) == pytest.approx(
-        muskat.quarter_period(lam, alpha, tol=1e-11), abs=1e-8
+        quarter_period(lam, alpha, tol=1e-11), abs=1e-8
     )
 
 

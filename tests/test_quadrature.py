@@ -1,12 +1,13 @@
-"""Composite Gauss-Legendre quadrature: convergence and its refusal."""
+"""Composite Gauss-Legendre quadrature (``branch.gauss_panels``) and the cumulative oracle rule."""
 
 import math
 
 import numpy as np
 import pytest
+from oracles import cumulative_gauss
 
 from muskat import ConvergenceError
-from muskat.quadrature import cumulative_gauss, gauss_panels
+from muskat.branch import gauss_panels
 
 
 def test_smooth_integrand_converges():
