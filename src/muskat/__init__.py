@@ -28,9 +28,8 @@ _HOME = {
         "curve",
     ),
     **dict.fromkeys(
-        ("ExpansionFit", "QuarterProfile", "SolutionProfile", "expansion_check", "extend_odd_periodic",
-         "fourier_sine_coefficient", "negate_profile", "profile_at", "residual", "scale_profile", "translate_even",
-         "zero_profile"),
+        ("ExpansionFit", "SolutionProfile", "expansion_check", "fourier_sine_coefficient", "negate_profile",
+         "profile_at", "residual", "scale_profile", "translate_even", "zero_profile"),
         "branch",
     ),
     "RunConfig": "config",

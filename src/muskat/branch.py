@@ -2,8 +2,8 @@
 
 The scalar branch (slopes, regimes, branch points, coexistence windows)
 lives in ``curve`` and is re-exported here, as the same objects, next to
-the numpy profile layer: the profile containers, the odd periodic
-extension of a quarter arc, the odd 2*pi profile of a branch point, its
+the numpy profile layer: the profile container, the odd 2*pi profile of
+a branch point (sampled from its Jacobi arc, ``elliptic.Arc``), its
 mode rescaling, its even twin (a quarter-period translation), its mirror,
 the residual diagnostics, and the fit of the bifurcation coefficient.
 """
@@ -31,7 +31,6 @@ __all__ = [
     "BranchPoint",
     "ExpansionFit",
     "PhysicalParams",
-    "QuarterProfile",
     "Regime",
     "RegimeKind",
     "SolutionProfile",
@@ -39,7 +38,6 @@ __all__ = [
     "branch_amplitude",
     "coexistence_levels",
     "expansion_check",
-    "extend_odd_periodic",
     "fourier_sine_coefficient",
     "gamma_bar",
     "gamma_of_lambda",
@@ -54,21 +52,6 @@ __all__ = [
     "translate_even",
     "zero_profile",
 ]
-
-
-@dataclass
-class QuarterProfile:
-    """Quarter-period arc on [0, theta_end], from the zero crossing to the crest.
-
-    ``dense`` maps x arrays to (f, f'); the reflection machinery and all
-    resampling draw from it.  ``profile_at`` fills it with the closed-form
-    Jacobi arc.
-    """
-
-    lam: float
-    alpha: float
-    theta_end: float
-    dense: object = field(repr=False, default=None, compare=False)
 
 
 Evaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -95,36 +78,6 @@ class SolutionProfile:
         return float(np.max(np.abs(self.f)))
 
 
-def _odd_extension_evaluator(dense, theta_end: float) -> Evaluator:
-    """Dense (f, f') on all of R from the quarter arc via odd reflection.
-
-    With y = x mod 4*theta and quadrant q = floor(y / theta):
-    q=0: (F(y), G(y));  q=1: (F(2t-y), -G(2t-y));
-    q=2: (-F(y-2t), -G(y-2t));  q=3: (-F(4t-y), G(4t-y)).
-    A folded u within the rounding of the fold (4 eps period) is the zero
-    crossing itself: linspace(0, 2 pi, 4k + 1)[2k] is pi + 4.4e-16, and
-    near b = 0 f' changes by a relative 1e-8 over that distance.
-    """
-    period = 4.0 * theta_end
-    snap = 4.0 * np.finfo(float).eps * period
-
-    def ev(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.mod(x, period)
-        q = np.clip(np.floor_divide(y, theta_end).astype(int), 0, 3)
-        r = y - q * theta_end
-        u = np.where(q % 2 == 0, r, theta_end - r)
-        u = np.where(u <= snap, 0.0, u)
-        # the quadrants fold a symmetric grid onto repeated abscissae
-        u_distinct, inverse = np.unique(u, return_inverse=True)
-        f, g = dense(u_distinct)
-        sign_f = np.where(q <= 1, 1.0, -1.0)
-        sign_g = np.where((q == 0) | (q == 3), 1.0, -1.0)
-        return sign_f * f[inverse], sign_g * g[inverse]
-
-    return ev
-
-
 def _reflect_quarter(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Samples on the closed grid of 4k intervals from the k + 1 quarter samples.
 
@@ -136,40 +89,6 @@ def _reflect_quarter(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarr
     f = np.concatenate((F, back_f, -F[1:], -back_f))
     fp = np.concatenate((G, -back_g, -G[1:], back_g))
     return f, fp
-
-
-def extend_odd_periodic(q: QuarterProfile, n_samples: int = 513) -> SolutionProfile:
-    """Full-period odd profile from a quarter arc via the reflection rules.
-
-    The profile has period 4 * theta_end, satisfies f(-x) = -f(x), and is
-    sampled on a uniform closed grid of ``n_samples`` points.  When
-    n_samples = 4k + 1 (the default gives 512 intervals per period) the
-    grid contains the quarter-period points: ``q.dense`` is called once, on
-    the k + 1 abscissae of the first quarter, and the other quarters are
-    its exact odd reflection, so the sampled peak is the closed-form
-    amplitude.  Other grids evaluate the folded abscissae directly.
-    ``evaluate`` folds any x onto the quarter either way.
-    """
-    if q.dense is None:
-        raise DomainError("quarter profile lacks dense output")
-    period = 4.0 * q.theta_end
-    ev = _odd_extension_evaluator(q.dense, q.theta_end)
-    xs = np.linspace(0.0, period, n_samples)
-    k, rem = divmod(n_samples - 1, 4)
-    if rem == 0:
-        f, fp = _reflect_quarter(*q.dense(xs[: k + 1]))
-    else:
-        f, fp = ev(xs)
-    return SolutionProfile(
-        lam=q.lam,
-        alpha=q.alpha,
-        period=period,
-        parity="odd",
-        x=xs,
-        f=f,
-        f_prime=fp,
-        evaluate=ev,
-    )
 
 
 def zero_profile(lam: float, period: float = 2.0 * math.pi, n_samples: int = 513) -> SolutionProfile:
@@ -195,12 +114,28 @@ def zero_profile(lam: float, period: float = 2.0 * math.pi, n_samples: int = 513
 
 
 def _profile(lam: float, mod: Modulus, n_samples: int) -> SolutionProfile:
-    """The odd 2*pi profile of the branch point at lam, from the record ``mod`` of its slope."""
+    """The odd 2*pi profile of the branch point at lam, from the record ``mod`` of its slope.
+
+    The samples sit on linspace(0, period, n_samples).  When n_samples =
+    4k + 1 (the default gives 512 intervals per period) the grid contains
+    the quarter-period points: the arc is inverted once, on the k + 1
+    abscissae of the first quarter, and the other quarters are its exact
+    odd reflection, so the sampled peak is the closed-form amplitude.
+    Other grids are evaluated by ``Arc.odd``, which is ``evaluate``.
+    """
     if mod.alpha == 0.0:
         return zero_profile(lam, period=2.0 * math.pi, n_samples=n_samples)
     arc = elliptic.Arc(lam, mod)
-    q = QuarterProfile(lam=lam, alpha=mod.alpha, theta_end=arc.quarter, dense=arc.rising_quarter)
-    return extend_odd_periodic(q, n_samples=n_samples)
+    period = 4.0 * arc.quarter
+    xs = np.linspace(0.0, period, n_samples)
+    k, rem = divmod(n_samples - 1, 4)
+    if rem == 0:
+        f, fp = _reflect_quarter(*arc.rising_quarter(xs[: k + 1]))
+    else:
+        f, fp = arc.odd(xs)
+    return SolutionProfile(
+        lam=lam, alpha=mod.alpha, period=period, parity="odd", x=xs, f=f, f_prime=fp, evaluate=arc.odd
+    )
 
 
 def profile_at(lam: float, n_samples: int = 513) -> SolutionProfile:
@@ -238,13 +173,14 @@ def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
     is sampled on linspace(0, period, n), as every library profile is, l
     times that grid is s's grid up to rounding, so the samples are
     (f / l, f') of s's samples and nothing is evaluated; otherwise they
-    are evaluated.  ``evaluate`` is f(l x) / l of s's evaluator.
+    are evaluated, which a profile of samples only (evaluate None) cannot
+    be.  ``evaluate`` is f(l x) / l of s's evaluator, or None.
     """
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     if l == 1:
         return s
-    ev = _require_dense(s)
+    ev = s.evaluate
 
     def ev_scaled(x):
         f, fp = ev(l * np.asarray(x, dtype=float))
@@ -254,6 +190,7 @@ def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
     if _on_period_grid(s):
         f, fp = s.f / l, s.f_prime.copy()
     else:
+        _require_dense(s)
         f, fp = ev_scaled(xs)
     return SolutionProfile(
         lam=s.lam * l * l,
@@ -263,7 +200,7 @@ def scale_profile(s: SolutionProfile, l: int) -> SolutionProfile:
         x=xs,
         f=f,
         f_prime=fp,
-        evaluate=ev_scaled,
+        evaluate=ev_scaled if ev is not None else None,
     )
 
 
@@ -275,8 +212,9 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
     When s is sampled on linspace(0, period, 4k + 1), as the library's
     default profiles are, the shift is k grid steps: the samples are the
     odd samples rolled by k, with the closing sample repeating the first,
-    and nothing is evaluated; other grids are evaluated.  ``evaluate`` is
-    s's evaluator at x + period / 4.
+    and nothing is evaluated; other grids are evaluated, which a profile
+    of samples only (evaluate None) cannot be.  ``evaluate`` is s's
+    evaluator at x + period / 4, or None.
     """
     if s.parity != "odd":
         raise ParityError(f"translate_even requires an odd profile, got parity={s.parity!r}")
@@ -284,7 +222,7 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
         raise ParityError(
             f"profile period {s.period:.9g} does not match minimal period 2*pi/{l}"
         )
-    ev = _require_dense(s)
+    ev = s.evaluate
     shift = 0.25 * s.period
 
     def ev_even(x):
@@ -295,6 +233,7 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
     if k > 0 and rem == 0 and _on_period_grid(s):
         f, fp = _roll_closed(s.f, k), _roll_closed(s.f_prime, k)
     else:
+        _require_dense(s)
         f, fp = ev_even(xs)
     return SolutionProfile(
         lam=s.lam,
@@ -304,7 +243,7 @@ def translate_even(s: SolutionProfile, l: int = 1) -> SolutionProfile:
         x=xs,
         f=f,
         f_prime=fp,
-        evaluate=ev_even,
+        evaluate=ev_even if ev is not None else None,
     )
 
 

@@ -130,6 +130,8 @@ def _regime_lines(cfg: RunConfig) -> list[str]:
 
 
 def cmd_constants(cfg: RunConfig, args) -> None:
+    if args.l < 1:
+        raise DomainError(f"mode number must be >= 1, got {args.l}")
     c = constants()
     p = cfg.physical()
     fmt = lambda v: format_float(v, cfg.precision)
@@ -139,7 +141,7 @@ def cmd_constants(cfg: RunConfig, args) -> None:
         f"gamma_star  = {fmt(p.weight / c.lambda_star)}   (g (rho_plus - rho_minus) / lambda_star)",
         "bifurcation points gamma_bar_l = g (rho_plus - rho_minus) / l^2:",
     ]
-    for l in range(1, max(1, args.l) + 1):
+    for l in range(1, args.l + 1):
         lines.append(f"  l={l}: {fmt(curve.gamma_bar(p, l))}")
     lines.extend(_regime_lines(cfg))
     _emit_text(cfg, lines)

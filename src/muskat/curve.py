@@ -145,7 +145,6 @@ class Branch:
     l: int
     points: list[BranchPoint]
     regime: Regime
-    parity: str = "odd"
 
     def column(self, name: str):
         """The attribute ``name`` of every point, as a float ndarray."""
@@ -377,7 +376,7 @@ def trace_branch(
                 truncated=True,
             )
         points.append(pt)
-    return Branch(l=l, points=points, regime=regime, parity="odd")
+    return Branch(l=l, points=points, regime=regime)
 
 
 def coexistence_levels(p: PhysicalParams, l_max: int) -> list[tuple[int, tuple[float, float]]]:

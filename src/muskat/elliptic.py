@@ -32,6 +32,10 @@ takes, so x(u) costs one multiply-add per step on top of sn, cn and dn.
 ``Arc`` is built from a record, so its K, Q, x(u) and Jacobi functions
 come from the record's one AGM and one sweep: a caller that already holds
 the record of its slope, as the branch solves do, runs no AGM for it.
+
+The arc is also the odd branch profile: ``Arc.odd`` inverts x(u) on the
+quarter from the zero crossing to the crest, where the inversion table
+lives, and folds every other x onto that quarter by odd reflection.
 """
 
 from __future__ import annotations
@@ -41,10 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .agm import Modulus, beta_of_alpha, one_minus_beta  # noqa: F401  (re-exported)
+from .agm import Modulus
 from .errors import ConvergenceError, DomainError
 
-__all__ = ["Arc", "beta_of_alpha", "one_minus_beta"]
+__all__ = ["Arc"]
 
 TABLE_NODES = 129
 MAX_NEWTON = 64
@@ -69,7 +73,8 @@ class Arc:
     Built from lam and the record ``mod`` of the slope alpha (``agm.Modulus``).
     ``quarter`` is the abscissa span from the crest to the zero crossing,
     which u covers on [0, K]; ``length`` is the arc length of one period,
-    4 K / sqrt(lam), which is also the swing period.
+    4 K / sqrt(lam), which is also the swing period.  ``odd`` evaluates
+    the odd profile of period 4 quarter at any x.
     """
 
     def __init__(self, lam: float, mod: Modulus):
@@ -145,6 +150,34 @@ class Arc:
         _, sn, cn, dn = self._invert(self.quarter - np.asarray(x, dtype=float))
         f, fp = self._profile(sn, cn, dn)
         return f, -fp
+
+    def odd(self, x):
+        """(f, f') of the odd profile, which rises through its zero crossing at x = 0, at any real x.
+
+        Folds x onto the rising quarter by odd reflection.  With t = quarter,
+        y = x mod 4 t and quadrant q = floor(y / t), and (F, G) the rising
+        quarter:  q=0: (F(y), G(y));  q=1: (F(2t-y), -G(2t-y));
+        q=2: (-F(y-2t), -G(y-2t));  q=3: (-F(4t-y), G(4t-y)).
+        A folded abscissa within the rounding of the fold (4 eps period) is
+        the zero crossing itself: linspace(0, 2 pi, 4k + 1)[2k] is
+        pi + 4.4e-16, and near b = 0 f' changes by a relative 1e-8 over that
+        distance.
+        """
+        t = self.quarter
+        period = 4.0 * t
+        snap = 4.0 * np.finfo(float).eps * period
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.mod(x, period)
+        q = np.clip(np.floor_divide(y, t).astype(int), 0, 3)
+        r = y - q * t
+        folded = np.where(q % 2 == 0, r, t - r)
+        folded = np.where(folded <= snap, 0.0, folded)
+        # the quadrants fold a symmetric grid onto repeated abscissae
+        distinct, inverse = np.unique(folded, return_inverse=True)
+        f, g = self.rising_quarter(distinct)
+        sign_f = np.where(q <= 1, 1.0, -1.0)
+        sign_g = np.where((q == 0) | (q == 3), 1.0, -1.0)
+        return sign_f * f[inverse], sign_g * g[inverse]
 
     def u_of_x(self, x):
         """The u in [0, K] whose abscissa is x, for x in [0, quarter]."""

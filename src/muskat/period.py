@@ -16,17 +16,10 @@ from __future__ import annotations
 
 import math
 
-from .agm import Modulus, beta_of_alpha, constants, one_minus_beta
+from .agm import Modulus, constants
 from .errors import DomainError
 
-__all__ = [
-    "beta_of_alpha",
-    "dtheta_dalpha",
-    "one_minus_beta",
-    "theta",
-    "theta_limit_infinity",
-    "theta_limit_zero",
-]
+__all__ = ["dtheta_dalpha", "theta", "theta_limit_infinity", "theta_limit_zero"]
 
 
 def _validate(lam: float, alpha: float) -> None:

@@ -30,6 +30,11 @@ detection.  ``energy`` is its exact first integral 1/sqrt(1 + g^2) -
 lam f^2 / 2 (equal to beta = 1/sqrt(1 + alpha^2) along trajectories).
 ``cumulative_gauss`` is a per-interval Gauss rule, the second route to
 the arc length that ``pendulum`` takes in closed form.
+
+``QuarterProfile`` and ``extend_odd_periodic`` are the generic odd
+periodic extension of any quarter arc that maps x arrays to (f, f'):
+the ODE route's interpolant, or the library's ``Arc.rising_quarter``, whose
+extension must give ``Arc.odd`` and ``profile_at`` bit for bit.
 """
 
 import json
@@ -41,7 +46,7 @@ from scipy.integrate import solve_ivp
 
 from muskat import period as period_mod
 from muskat.agm import _agm, _complete, beta_of_alpha
-from muskat.branch import QuarterProfile, gauss_panels
+from muskat.branch import SolutionProfile, _reflect_quarter, gauss_panels
 from muskat.elliptic import _landen
 from muskat.errors import DomainError
 from muskat.export import SCHEMA_VERSION, format_float
@@ -286,6 +291,53 @@ def quarter_period(lam, alpha, tol=1e-10):
     if alpha <= 0.0:
         raise DomainError(f"quarter_period requires alpha > 0, got {alpha}")
     return _solve_to_crest(lam, alpha, tol)[1]
+
+
+@dataclass
+class QuarterProfile:
+    """Quarter-period arc on [0, theta_end], from the zero crossing to the crest.
+
+    ``dense`` maps x arrays to (f, f'); the extension draws every sample from it.
+    """
+
+    lam: float
+    alpha: float
+    theta_end: float
+    dense: object = field(repr=False, default=None, compare=False)
+
+
+def extend_odd_periodic(q, n_samples=513):
+    """Full-period odd profile of period 4 theta_end from a quarter arc.
+
+    With y = x mod 4 t and quadrant j = floor(y / t), t = theta_end:
+    j=0: (F(y), G(y));  j=1: (F(2t-y), -G(2t-y));
+    j=2: (-F(y-2t), -G(y-2t));  j=3: (-F(4t-y), G(4t-y)).
+    A folded abscissa within 4 eps period of 0 is the zero crossing.  On
+    grids of 4k + 1 points ``q.dense`` is called on the first quarter's
+    k + 1 points only, and the other quarters are its reflection.
+    """
+    period = 4.0 * q.theta_end
+    snap = 4.0 * np.finfo(float).eps * period
+
+    def ev(x):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        y = np.mod(x, period)
+        quad = np.clip(np.floor_divide(y, q.theta_end).astype(int), 0, 3)
+        r = y - quad * q.theta_end
+        u = np.where(quad % 2 == 0, r, q.theta_end - r)
+        u = np.where(u <= snap, 0.0, u)
+        u_distinct, inverse = np.unique(u, return_inverse=True)
+        f, g = q.dense(u_distinct)
+        sign_f = np.where(quad <= 1, 1.0, -1.0)
+        sign_g = np.where((quad == 0) | (quad == 3), 1.0, -1.0)
+        return sign_f * f[inverse], sign_g * g[inverse]
+
+    xs = np.linspace(0.0, period, n_samples)
+    k, rem = divmod(n_samples - 1, 4)
+    f, fp = _reflect_quarter(*q.dense(xs[: k + 1])) if rem == 0 else ev(xs)
+    return SolutionProfile(
+        lam=q.lam, alpha=q.alpha, period=period, parity="odd", x=xs, f=f, f_prime=fp, evaluate=ev
+    )
 
 
 @dataclass

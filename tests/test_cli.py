@@ -200,11 +200,12 @@ def test_json_format_round_trip(tmp_path):
     assert cols["x"].size == len(payload["samples"]["x"]) > 0
 
 
-def test_emitted_profile_revalidates(tmp_path):
+def _emitted_profile(tmp_path):
+    """The samples-only profile (evaluate None) rebuilt from a ``profile --lambda 0.7`` table."""
     out = tmp_path / "prof.csv"
     assert run(["profile", "--lambda", "0.7", "--out", str(out)]) == 0
     meta, cols = read_table(str(out))
-    rebuilt = muskat.SolutionProfile(
+    return muskat.SolutionProfile(
         lam=meta["lambda"],
         alpha=meta["alpha"],
         period=cols["x"][-1] - cols["x"][0],
@@ -213,9 +214,57 @@ def test_emitted_profile_revalidates(tmp_path):
         f=cols["f"],
         f_prime=cols["f_prime"],
     )
+
+
+def test_emitted_profile_revalidates(tmp_path):
+    rebuilt = _emitted_profile(tmp_path)
     res, mean = muskat.residual(rebuilt)
     assert res <= 1e-3  # file samples carry the 2*pi export grid, not the fine grid
     assert mean <= 1e-9
+
+
+def test_transforms_of_an_emitted_profile_evaluate_nothing_on_its_grid(tmp_path):
+    # both transforms reuse the samples on the period grid, so a profile
+    # read back from a table needs no evaluator there
+    rebuilt = _emitted_profile(tmp_path)
+    own = muskat.profile_at(0.7)
+    # the table closes the period with the first sample, as cmd_profile gathers it
+    closed = np.arange(own.x.size) % (own.x.size - 1)
+    own = dataclasses.replace(own, f=own.f[closed], f_prime=own.f_prime[closed])
+    for from_file, from_library in (
+        (muskat.scale_profile(rebuilt, 2), muskat.scale_profile(own, 2)),
+        (muskat.translate_even(rebuilt), muskat.translate_even(own)),
+    ):
+        assert from_file.evaluate is None
+        for a, b in ((from_file.f, from_library.f), (from_file.f_prime, from_library.f_prime)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+    # off the period grid, or on a grid the quarter shift does not hit, the
+    # samples must be evaluated, which samples alone cannot be
+    off_grid = dataclasses.replace(rebuilt, x=rebuilt.x + 0.1)
+    with pytest.raises(muskat.DomainError, match="dense evaluator"):
+        muskat.scale_profile(off_grid, 2)
+    with pytest.raises(muskat.DomainError, match="dense evaluator"):
+        muskat.translate_even(off_grid)
+    n = 100
+    coarse = dataclasses.replace(
+        rebuilt, x=np.linspace(0.0, rebuilt.period, n), f=np.zeros(n), f_prime=np.zeros(n)
+    )
+    with pytest.raises(muskat.DomainError, match="dense evaluator"):
+        muskat.translate_even(coarse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["constants"], ["profile", "--lambda", "0.5"], ["branch"], ["expansion-check"]],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("l", ["0", "-3"])
+def test_mode_number_below_one_is_bad_input(tmp_path, capsys, argv, l):
+    # every command that takes --l refuses it before writing anything
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--l", l, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: mode number must be >= 1, got {l}\n"
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

