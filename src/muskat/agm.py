@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -126,8 +125,7 @@ def _modulus(alpha: float, b: float, m: float) -> Modulus:
     return tuple.__new__(Modulus, (alpha, b, m, a_s, c_s, *_complete(a_s, c_s, m)))
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """Threshold constants of the steady-state problem.
 
     Attributes

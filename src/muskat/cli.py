@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 
 from . import curve
 from .agm import constants
@@ -205,7 +204,7 @@ def cmd_profile(cfg: RunConfig, args) -> None:
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
     lam = _base_lambda(cfg, args, l)
-    window = curve.lambda_h(replace(p, h=l * p.h))
+    window = curve.lambda_h(p._replace(h=l * p.h))
     if not window.lambda_h < lam <= 1.0:
         raise OutOfRangeError(
             lam,

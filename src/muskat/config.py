@@ -13,9 +13,7 @@ fundamental branch, which keeps desk verification simple.
 
 from __future__ import annotations
 
-import dataclasses
-import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import PhysicalParams
 from .errors import ConfigError, DomainError
@@ -38,8 +36,7 @@ _TYPES = {
 }
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     grav: float = 1.0
     rho_plus: float = 1.0
     rho_minus: float = 0.0
@@ -51,11 +48,10 @@ class RunConfig:
     precision: int = 17
 
     def validate(self) -> None:
-        for field in dataclasses.fields(self):
-            types, kind = _TYPES[field.name]
-            value = getattr(self, field.name)
+        for name, value in zip(self._fields, self):
+            types, kind = _TYPES[name]
             if isinstance(value, bool) or not isinstance(value, types):
-                raise ConfigError(f"{field.name} must be {kind}, got {value!r}")
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         for name in ("n_points", "n_samples"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
@@ -75,17 +71,18 @@ class RunConfig:
 
     def updated(self, **overrides) -> "RunConfig":
         """Copy with non-None overrides applied; unknown keys are rejected."""
-        known = {f.name for f in dataclasses.fields(self)}
         clean = {}
         for key, value in overrides.items():
-            if key not in known:
+            if key not in self._fields:
                 raise ConfigError(f"unknown configuration key {key!r}")
             if value is not None:
                 clean[key] = value
-        return dataclasses.replace(self, **clean)
+        return self._replace(**clean)
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)

@@ -15,16 +15,18 @@ is a safeguarded Newton iteration in b with one AGM, an ``agm.Modulus``
 record, per step; it returns the record where it stopped.
 
 Everything here is scalar and imports only ``math`` (through ``agm``),
-so the commands that need no profile load no numpy.  ``branch``
+so the commands that need no profile load no numpy.  The records are
+NamedTuples rather than dataclasses, since ``dataclasses`` imports
+``inspect``, about a tenth of such a command's start-up.  ``branch``
 re-exports these names next to the profile layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .agm import Modulus, alpha_of_beta, constants, one_minus_beta
 from .errors import ConvergenceError, DomainError, OutOfRangeError, SaturationError
@@ -61,20 +63,25 @@ FLOOR_NUDGES = 1000
 MAX_STEPS = 100
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class _Cell(NamedTuple):
+    grav: float
+    rho_plus: float
+    rho_minus: float
+    h: float
+
+
+class PhysicalParams(_Cell):
     """Cell geometry and fluid data.
 
     Requires the unstable ordering rho_plus > rho_minus (heavier fluid on
-    top); otherwise only the flat interface exists.
+    top); otherwise only the flat interface exists.  ``_replace`` checks
+    the copy as the constructor does.
     """
 
-    grav: float = 1.0
-    rho_plus: float = 1.0
-    rho_minus: float = 0.0
-    h: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, grav: float = 1.0, rho_plus: float = 1.0, rho_minus: float = 0.0, h: float = 2.0):
+        self = super().__new__(cls, grav, rho_plus, rho_minus, h)
         # "not x > 0" so that NaN is refused too
         if not self.grav > 0.0:
             raise DomainError("grav must be positive")
@@ -85,6 +92,10 @@ class PhysicalParams:
         for name in ("grav", "rho_plus", "rho_minus", "h"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        return self
+
+    def _replace(self, **changes) -> "PhysicalParams":
+        return PhysicalParams(**{**self._asdict(), **changes})
 
     @property
     def weight(self) -> float:
@@ -104,8 +115,7 @@ class RegimeKind(str, Enum):
         return {"TOUCHES_BOUNDARY": "i", "BOTH_BLOWUP": "ii", "SLOPE_BLOWUP": "iii"}[self.value]
 
 
-@dataclass(frozen=True)
-class Regime:
+class Regime(NamedTuple):
     """Classification plus the branch endpoint (base parameters)."""
 
     kind: RegimeKind
@@ -113,8 +123,7 @@ class Regime:
     gamma_h: float
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     """One branch point in mode-l (scaled) coordinates.
 
     ``lam`` and ``gamma`` satisfy gamma = g (rho_plus - rho_minus) / lam for
@@ -133,8 +142,7 @@ class BranchPoint:
     truncated: bool = False
 
 
-@dataclass
-class Branch:
+class Branch(NamedTuple):
     """Ordered branch points (increasing lam) plus endpoint classification.
 
     ``regime`` is expressed in base (l = 1) parameters: its lambda_h is the
@@ -347,7 +355,7 @@ def trace_branch(
         raise DomainError(f"mode number must be >= 1, got {l}")
     if n_points < 2:
         raise DomainError(f"n_points must be >= 2, got {n_points}")
-    regime = lambda_h(replace(p, h=l * p.h))
+    regime = lambda_h(p._replace(h=l * p.h))
     touches = regime.kind is RegimeKind.TOUCHES_BOUNDARY
     grid = _grid(regime.lambda_h, n_points, include_start=touches)
 
@@ -394,7 +402,7 @@ def coexistence_levels(p: PhysicalParams, l_max: int) -> list[tuple[int, tuple[f
     """
     if l_max < 2:
         raise DomainError(f"l_max must be >= 2, got {l_max}")
-    sups = [lambda_h(replace(p, h=k * p.h)).gamma_h / k**2 for k in range(1, l_max + 2)]
+    sups = [lambda_h(p._replace(h=k * p.h)).gamma_h / k**2 for k in range(1, l_max + 2)]
     out: list[tuple[int, tuple[float, float]]] = []
     for l in range(1, l_max + 1):
         gb_l = gamma_bar(p, l)

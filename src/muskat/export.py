@@ -15,13 +15,13 @@ with 0 < stop < inf, is a uniform grid, such as every profile's x column:
 its text is formatted once per process and kept in a cache of at most
 ``GRID_CACHE_SIZE`` grids, keyed on (stop, n, precision, format).  Either
 way the bytes are those of formatting every cell on its own.  Writing
-needs no numpy; ``read_table`` returns numpy arrays.
+needs no numpy, and CSV needs no json; ``read_table`` returns numpy
+arrays.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import sys
 from typing import IO, Mapping, Sequence
@@ -47,6 +47,8 @@ def _format_floats(values: list, precision: int, csv: bool) -> list[str]:
         return []
     if csv:
         return ((f"%.{precision - 1}e," * len(values))[:-1] % tuple(values)).split(",")
+    import json
+
     return json.dumps(values, separators=(",", ":"))[1:-1].split(",")
 
 
@@ -106,7 +108,11 @@ def _cells(col, precision: int, csv: bool) -> list[str]:
         values = list(col)
         if all(isinstance(v, float) for v in values):
             return _format_floats(values, precision, csv)
-    return list(map(str if csv else json.dumps, values))
+    if csv:
+        return list(map(str, values))
+    import json
+
+    return list(map(json.dumps, values))
 
 
 def _write_csv(fh: IO[str], metadata, columns, precision):
@@ -129,6 +135,8 @@ def _json_list(cells: list[str]) -> str:
 
 
 def _write_json(fh: IO[str], metadata, columns, precision):
+    import json
+
     header = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": dict(metadata)}, indent=1)
     samples = ",\n".join(f"  {json.dumps(name)}: {_json_list(cells)}" for name, cells in columns.items())
     # the header's closing "\n}" makes way for the samples object
@@ -177,6 +185,8 @@ def _parse_scalar(text: str):
 
 def read_table(path: str) -> tuple[dict, dict]:
     """Re-read a table written by write_table (format inferred from content), columns as arrays."""
+    import json
+
     import numpy as np
 
     with open(path, "r", encoding="utf-8") as fh:

@@ -43,6 +43,18 @@ def test_physical_params_validation():
         PhysicalParams(rho_minus=-math.inf)
 
 
+def test_physical_params_copies_are_checked_as_built():
+    deep = P_UNIT._replace(h=5.0)
+    assert type(deep) is PhysicalParams and deep == PhysicalParams(h=5.0) and deep.weight == 1.0
+    with pytest.raises(DomainError, match="h must be finite"):
+        PhysicalParams(h=1e308)._replace(h=2 * 1e308)
+    with pytest.raises(DomainError, match="rho_plus must exceed"):
+        P_UNIT._replace(rho_plus=0.0)
+    # the mode-l window uses the ceiling l h, which overflows here
+    with pytest.raises(DomainError, match="h must be finite"):
+        muskat.trace_branch(PhysicalParams(h=1e308), l=2)
+
+
 def test_gamma_lambda_maps():
     p = PhysicalParams(grav=9.81, rho_plus=2.0, rho_minus=1.0, h=1.0)
     assert muskat.gamma_of_lambda(p, 1.0) == pytest.approx(9.81, rel=1e-15)

@@ -424,7 +424,7 @@ def test_branch_rows_against_mpmath(tmp_path, name):
 
 def test_readme_names_the_shared_flags_and_config_keys():
     # the "Common flags" paragraph against the parser, and its RunConfig key
-    # list against the dataclass: a knob dropped on one side only fails here
+    # list against the record's fields: a knob dropped on one side only fails here
     text = README.read_text(encoding="utf-8")
     paragraph = re.search(r"^Common flags.*?(?=\n\n)", text, re.S | re.M).group(0)
     (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
@@ -434,7 +434,7 @@ def test_readme_names_the_shared_flags_and_config_keys():
     ]
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == set.intersection(*per_command)
     keys = re.search(r"`RunConfig` keys (.*?); any other key", paragraph, re.S).group(1)
-    assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(RunConfig)]
+    assert re.findall(r"`(\w+)`", keys) == list(RunConfig._fields)
 
 
 def test_retired_knobs_are_unknown_keys(tmp_path, capsys):

@@ -1,6 +1,5 @@
 """The lazy package namespace and the numpy-free scalar commands."""
 
-import dataclasses
 import importlib
 import importlib.util
 import json
@@ -67,20 +66,25 @@ def test_import_muskat_loads_no_submodule_and_no_numpy():
 
 def test_scalar_commands_never_load_numpy(tmp_path):
     # constants, classify, branch and coexist run on the math module alone;
-    # the profile handler then brings numpy in
+    # the profile handler then brings numpy in.  Their records are
+    # NamedTuples: ``dataclasses`` imports ``inspect``, a tenth of their start-up
     scalar = [["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"]]
     script = (
         "import json, sys\n"
+        "slow = {'dataclasses', 'inspect'}\n"
+        "slow_before = slow & set(sys.modules)\n"
         "from muskat.cli import main\n"
         "out = sys.argv[2]\n"
         "codes = [main(argv + ['--out', f'{out}/{i}.out']) for i, argv in enumerate(json.loads(sys.argv[1]))]\n"
         "numpy_before = 'numpy' in sys.modules\n"
+        "slow_loaded = sorted((slow & set(sys.modules)) - slow_before)\n"
         "code = main(['profile', '--lambda', '0.5', '--n', '65', '--out', f'{out}/profile.out'])\n"
-        "print(json.dumps([codes, numpy_before, code, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([codes, numpy_before, slow_loaded, code, 'numpy' in sys.modules]))\n"
     )
-    codes, numpy_before, profile_code, numpy_after = _child(script, json.dumps(scalar), str(tmp_path))
+    codes, numpy_before, slow_loaded, profile_code, numpy_after = _child(script, json.dumps(scalar), str(tmp_path))
     assert codes == [0] * len(scalar)
     assert not numpy_before
+    assert slow_loaded == []
     assert profile_code == 0 and numpy_after
     assert len(list(tmp_path.iterdir())) == len(scalar) + 1
 
@@ -127,7 +131,7 @@ def test_branch_keeps_its_names_as_the_scalar_objects():
     # agm is the one home of the slope -> b maps
     for removed in ("beta_of_alpha", "one_minus_beta"):
         assert not hasattr(muskat.elliptic, removed) and removed not in muskat.period.__all__, removed
-    assert "parity" not in {f.name for f in dataclasses.fields(curve_mod.Branch)}
+    assert "parity" not in curve_mod.Branch._fields
 
 
 def test_every_name_the_benchmark_tracer_wraps_resolves():
