@@ -7,8 +7,8 @@ periodic pendulum swings.
 
 The package imports lazily (PEP 562): ``import muskat`` loads no
 submodule, and each public name loads its defining module on first use,
-so the scalar layers (``agm``, ``period``, ``curve``) run
-without numpy.
+so the scalar layers (``agm``, ``period``, ``curve``, ``expansion``)
+run without numpy.
 """
 
 import importlib
@@ -16,7 +16,7 @@ import importlib
 __version__ = "0.1.0"
 
 _SUBMODULES = frozenset(
-    ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "export", "pendulum", "period")
+    ("agm", "branch", "cli", "config", "curve", "elliptic", "errors", "expansion", "export", "pendulum", "period")
 )
 
 #: public name -> the submodule that defines it
@@ -28,10 +28,11 @@ _HOME = {
         "curve",
     ),
     **dict.fromkeys(
-        ("ExpansionFit", "SolutionProfile", "expansion_check", "fourier_sine_coefficient", "negate_profile",
-         "profile_at", "residual", "scale_profile", "translate_even", "zero_profile"),
+        ("SolutionProfile", "fourier_sine_coefficient", "negate_profile", "profile_at", "residual", "scale_profile",
+         "translate_even", "zero_profile"),
         "branch",
     ),
+    **dict.fromkeys(("ExpansionFit", "expansion_check"), "expansion"),
     "RunConfig": "config",
     **dict.fromkeys(
         ("ConfigError", "ConvergenceError", "DomainError", "MuskatError", "OutOfRangeError", "ParityError",

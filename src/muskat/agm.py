@@ -3,8 +3,11 @@
 With b = 1/sqrt(1 + alpha^2) and m = (1 - b)/2, every quantity the branch
 attaches to a slope alpha is a closed form in K(m) and E(m) (DLMF §19.8).
 ``Modulus`` is the record of one m and of the one AGM run there, built
-from a slope or from b; ``elliptic.Arc`` runs the Landen recurrence, which
-also gives the Jacobi zeta function, on its rows.
+from a slope or from b.  ``_landen`` runs the descending Landen
+recurrence on its rows (DLMF §22.20(ii)), which gives sn, cn, dn and the
+Jacobi zeta function; it is written once against an array namespace, so
+``elliptic.Arc`` calls it with numpy on arrays of u and the expansion
+coefficient with ``math`` on one u at a time.
 
 K and E come from the AGM of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
 and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).  The AGM takes
@@ -70,6 +73,23 @@ def _agm(b: float, c: float) -> tuple[list[float], list[float]]:
         b = math.sqrt(a * b)
         c_s.append(c_s[-1] ** 2 / (4.0 * a_s[-1]))
     return a_s, c_s
+
+
+def _landen(xp, u, m: float, a_s: list[float], c_s: list[float]):
+    """(sn, cn, dn, Z)(u|m) on the AGM rows of m, in the namespace ``xp`` (``math`` or numpy).
+
+    phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 runs from
+    phi_N = 2^N a_N u down to phi_0 = am u, and Z = sum_(n>=1) c_n sin(phi_n)
+    (A&S 17.6) reuses the sines; dn = sqrt(1 - m sn^2) keeps its digits at u = K.
+    """
+    phi = (2.0 ** (len(a_s) - 1) * a_s[-1]) * u
+    zeta = 0.0
+    for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
+        s = xp.sin(phi)
+        zeta = zeta + c * s
+        phi = 0.5 * (phi + xp.asin((c / a) * s))
+    sn = xp.sin(phi)
+    return sn, xp.cos(phi), xp.sqrt(1.0 - m * sn * sn), zeta
 
 
 def _complete(a_s: list[float], c_s: list[float], m: float) -> tuple[float, float, float]:

@@ -5,7 +5,10 @@ lives in ``curve`` and is re-exported here, as the same objects, next to
 the numpy profile layer: the profile container, the odd 2*pi profile of
 a branch point (sampled from its Jacobi arc, ``elliptic.Arc``), its
 mode rescaling, its even twin (a quarter-period translation), its mirror,
-the residual diagnostics, and the fit of the bifurcation coefficient.
+and the residual diagnostics.  The fit of the bifurcation coefficient,
+``expansion_check``, is scalar and lives in ``expansion``; it is
+re-exported here, as the same objects, with ``ExpansionFit`` and
+``EPS_WINDOW``.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ import numpy as np
 from . import elliptic
 from .agm import Modulus
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
-    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda, _newton_b,
+    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda,
     alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
     lambda_of_gamma, trace_branch,
 )
-from .errors import ConvergenceError, DomainError, OutOfRangeError, ParityError
+from .errors import ConvergenceError, DomainError, ParityError
+from .expansion import EPS_WINDOW, ExpansionFit, expansion_check  # noqa: F401  (re-exported)
 
 __all__ = [
     "Branch",
@@ -323,7 +327,7 @@ def fourier_sine_coefficient(s: SolutionProfile, k: int = 1, tol: float = 1e-13)
     """Coefficient of sin(2 pi k x / T) of the profile over one period.
 
     Gauss quadrature in x of the sampled profile's dense evaluator: generic,
-    and the oracle of the branch's own coefficient (``_sine_coefficient``),
+    and the oracle of the branch's own coefficient (``expansion._cosine_coefficient``),
     but it cannot converge on slopes above about 500.
     """
     ev = _require_dense(s)
@@ -333,128 +337,3 @@ def fourier_sine_coefficient(s: SolutionProfile, k: int = 1, tol: float = 1e-13)
         return ev(x)[0] * np.sin(w * x)
 
     return (2.0 / s.period) * gauss_panels(fn, 0.0, s.period, tol=tol, max_panels=128)
-
-
-@dataclass(frozen=True)
-class ExpansionFit:
-    """Result of fitting gamma(eps) = gamma_bar + c eps^2 near a bifurcation point.
-
-    ``coefficient`` is the eps -> 0 extrapolation of
-    (gamma(eps) - gamma_bar) / eps^2; ``expected`` is the analytic value
-    3 g (rho_plus - rho_minus) / 8.
-    """
-
-    l: int
-    coefficient: float
-    expected: float
-    eps: tuple[float, ...]
-    gammas: tuple[float, ...]
-    ratios: tuple[float, ...]
-
-
-#: validated eps window of ``expansion_check``.  (gamma - gamma_bar)/eps^2
-#: subtracts two rounded gammas: the single-eps ratio's relative deviation
-#: from 3/8 is at most 1.7e-7 for l = 1, 2, 3 and 6 at eps >= 1e-5, but
-#: 2.3e-5 at 3e-6, 6.8e-4 at 1e-6 and 1.0 at 1e-8 (l = 1).
-EPS_WINDOW = (1e-5, 0.1)
-
-
-def _sine_coefficient(mod: Modulus, n_nodes: int = 64) -> float:
-    """First sine coefficient of the odd branch profile of the record ``mod``.
-
-    The odd profile is the even arc of (mod.lam, mod) shifted by a quarter
-    period, so this is the arc's first cosine coefficient, by the periodic
-    trapezoid rule in u (``Arc.cosine_coefficient``).  It rises with the
-    slope to its sup at b = 0, about 3.066268.
-    """
-    return elliptic.Arc(mod.lam, mod).cosine_coefficient(n_nodes)
-
-
-def _lambda_for_coefficient(eps_base: float) -> float:
-    """Base lam whose odd 2*pi profile has first sine coefficient eps_base.
-
-    One Newton iteration in b (``curve._newton_b``) on the residual of
-    ``lambda_h`` with the coefficient c(b) in place of the amplitude A:
-    (KQ)^2 eps^2 - pi^2 m (c/A)^2 = (KQ)^2 (eps^2 - c^2), with
-    A^2 = pi^2 m/(KQ)^2.  c has no closed-form derivative, so the
-    derivative treats (c/A)^2 as constant (1 at m = 0, where c/A -> 1).
-    One record of b per step serves K, Q, m and the arc of c alike.
-    Starts from the small-amplitude asymptote m = eps^2/4.  A root at
-    b = 0 is the blow-up end, lambda_star.
-    """
-    eps2 = eps_base * eps_base
-
-    def excess(b):
-        mod = Modulus.of_b(b)
-        m = mod.m
-        kq = mod.K * mod.Q
-        c = _sine_coefficient(mod)
-        ratio2 = (c * kq) ** 2 / (math.pi**2 * m) if m > 0.0 else 1.0  # (c/A)^2
-        # eps - c is exact near the root, so the residual keeps c's digits
-        r = kq * kq * (eps_base - c) * (eps_base + c)
-        return r, 2.0 * eps2 * kq * mod.dkq_db(b) + 0.5 * math.pi**2 * ratio2, mod
-
-    return _newton_b(excess, max(0.0, 1.0 - 0.5 * eps2)).lam
-
-
-def expansion_check(
-    p: PhysicalParams,
-    l: int = 1,
-    eps_list: tuple[float, ...] = (0.02, 0.04, 0.08),
-) -> ExpansionFit:
-    """Measure the quadratic coefficient of gamma along the mode-l branch.
-
-    For each eps the branch point whose (even-translated) profile has first
-    cosine coefficient eps is located by matching the base profile's sine
-    coefficient to l * eps; the ratios (gamma(eps) - gamma_bar_l) / eps^2
-    are then extrapolated to eps -> 0 by a least-squares fit in eps^2.  The
-    limit is 3 g (rho_plus - rho_minus) / 8 for every l.
-
-    Raises DomainError for an empty list, a repeated eps (the fit would be
-    rank-deficient) or an eps outside ``EPS_WINDOW``, which it cannot
-    resolve, and OutOfRangeError for an eps at or above c1(b=0)/l, where
-    c1(b=0) (about 3.066268) is the sup of the first coefficient over the
-    branch.
-    """
-    if l < 1:
-        raise DomainError(f"mode number must be >= 1, got {l}")
-    eps_sorted = tuple(sorted(float(e) for e in eps_list))
-    if not eps_sorted:
-        raise DomainError("eps_list must not be empty")
-    lo, hi = EPS_WINDOW
-    for e in eps_sorted:
-        if not lo <= e <= hi:
-            raise DomainError(f"eps values must lie in [{lo:g}, {hi:g}], got {e}")
-    for e, after in zip(eps_sorted, eps_sorted[1:]):
-        if e == after:
-            raise DomainError(f"eps values must be distinct, got {e} twice")
-    eps_sup = _sine_coefficient(Modulus.of_b(0.0)) / l
-    if eps_sorted[-1] >= eps_sup:
-        raise OutOfRangeError(
-            eps_sorted[-1],
-            (0.0, eps_sup),
-            f"eps={eps_sorted[-1]:.9g} outside the window (0, {eps_sup:.9g}) = (0, c1(b=0)/l) "
-            f"for l={l}: no branch point has a larger first coefficient",
-        )
-    gb = gamma_bar(p, l)
-    gammas = []
-    ratios = []
-    for eps in eps_sorted:
-        lam = _lambda_for_coefficient(l * eps)
-        gam = gamma_of_lambda(p, lam) / (l * l)
-        gammas.append(gam)
-        ratios.append((gam - gb) / eps**2)
-    if len(eps_sorted) == 1:
-        coeff = ratios[0]
-    else:
-        design = np.vstack([np.ones(len(eps_sorted)), np.square(eps_sorted)]).T
-        sol, *_ = np.linalg.lstsq(design, np.asarray(ratios), rcond=None)
-        coeff = float(sol[0])
-    return ExpansionFit(
-        l=l,
-        coefficient=coeff,
-        expected=0.375 * p.weight,
-        eps=eps_sorted,
-        gammas=tuple(gammas),
-        ratios=tuple(ratios),
-    )

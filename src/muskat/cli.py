@@ -281,14 +281,14 @@ def cmd_coexist(cfg: RunConfig, args) -> None:
 
 
 def cmd_expansion_check(cfg: RunConfig, args) -> None:
-    from . import branch as branch_mod
+    from . import expansion
 
     p = cfg.physical()
     try:
         eps_list = tuple(float(tok) for tok in args.eps.split(",") if tok.strip())
     except ValueError as exc:
         raise ConfigError(f"--eps must be a comma-separated float list, got {args.eps!r}") from exc
-    fit = branch_mod.expansion_check(p, l=args.l, eps_list=eps_list)
+    fit = expansion.expansion_check(p, l=args.l, eps_list=eps_list)
     metadata = {
         "kind": "expansion-check",
         "l": fit.l,

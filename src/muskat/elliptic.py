@@ -22,7 +22,8 @@ b.
 
 K, E and the AGM rows come from the slope's record ``agm.Modulus``, whose
 module imports only ``math``.  The Jacobi functions run the descending
-Landen recurrence on those rows,
+Landen recurrence on those rows, ``agm._landen`` called with numpy (the
+scalar expansion coefficient calls the same code with ``math``),
 phi_(n-1) = (phi_n + asin(c_n sin(phi_n) / a_n)) / 2 from phi_N = 2^N a_N u
 down to the amplitude phi_0 = am u (DLMF §22.20(ii)); sn = sin phi_0,
 cn = cos phi_0, and dn = sqrt(1 - m sn^2), which keeps its digits at u = K
@@ -45,26 +46,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .agm import Modulus
+from .agm import Modulus, _landen
 from .errors import ConvergenceError, DomainError
 
 __all__ = ["Arc"]
 
 TABLE_NODES = 129
 MAX_NEWTON = 64
-
-
-def _landen(u, m: float, a_s: list[float], c_s: list[float]):
-    """(sn, cn, dn, Z)(u|m) by the descending Landen recurrence on the AGM rows of m."""
-    n = len(a_s) - 1
-    phi = (2.0**n * a_s[-1]) * np.asarray(u, dtype=float)
-    zeta = 0.0
-    for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
-        s = np.sin(phi)
-        zeta = zeta + c * s
-        phi = 0.5 * (phi + np.arcsin((c / a) * s))
-    sn = np.sin(phi)
-    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn), zeta
 
 
 class Arc:
@@ -106,7 +94,7 @@ class Arc:
     def _sweep(self, u):
         """(x, sn, cn, dn) at u from one Landen sweep."""
         u = np.asarray(u, dtype=float)
-        sn, cn, dn, zeta = _landen(u, self.m, *self._rows)
+        sn, cn, dn, zeta = _landen(np, u, self.m, *self._rows)
         return (self._ratio * u + 2.0 * zeta) / self.root_lam, sn, cn, dn
 
     def x(self, u):
@@ -128,22 +116,6 @@ class Arc:
         """(theta, theta') of the pendulum swing at u, starting from the crest."""
         _, sn, cn, _ = self._sweep(u)
         return -2.0 * np.arcsin(math.sqrt(self.m) * sn), -2.0 * math.sqrt(self.lam * self.m) * cn
-
-    def cosine_coefficient(self, n_nodes: int = 64) -> float:
-        """Coefficient of cos(w x), w = 2 pi/T, of the even profile over its period T.
-
-        T = 4 quarter, and in u the integral (2/T) int_0^T f cos(w x) dx runs
-        over one period [0, 4K] of f(u) cos(w x(u)) x'(u).  That integrand
-        is periodic and analytic in u, also at b = 0 where x' has double
-        zeros, so the ``n_nodes``-point trapezoid rule converges
-        geometrically (Trefethen & Weideman, SIAM Review 56, 2014).
-        """
-        u = np.arange(n_nodes) * (4.0 * self.K / n_nodes)
-        x, _, cn, _ = self._sweep(u)
-        f = 2.0 * math.sqrt(self.m) * cn / self.root_lam
-        w = 0.5 * math.pi / self.quarter
-        terms = f * np.cos(w * x) * self._dxdu(cn)
-        return 2.0 * self.K / (n_nodes * self.quarter) * float(np.sum(terms))
 
     def rising_quarter(self, x):
         """(f, f') on the quarter from the zero crossing (x = 0) to the crest (x = quarter)."""

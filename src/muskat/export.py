@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = ["format_float", "read_table", "write_table"]
 
@@ -115,16 +115,15 @@ def _cells(col, precision: int, csv: bool) -> list[str]:
     return list(map(json.dumps, values))
 
 
-def _write_csv(fh: IO[str], metadata, columns, precision):
-    fh.write(f"# schema_version={SCHEMA_VERSION}\n")
+def _csv_text(metadata, columns, precision) -> str:
+    lines = [f"# schema_version={SCHEMA_VERSION}"]
     for key, value in metadata.items():
         if isinstance(value, float):
             value = format_float(value, precision)
-        fh.write(f"# {key}={value}\n")
-    fh.write(",".join(columns) + "\n")
-    rows = list(map(",".join, zip(*columns.values())))
-    if rows:
-        fh.write("\n".join(rows) + "\n")
+        lines.append(f"# {key}={value}")
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*columns.values())))
+    return "\n".join(lines) + "\n"
 
 
 def _json_list(cells: list[str]) -> str:
@@ -134,13 +133,13 @@ def _json_list(cells: list[str]) -> str:
     return "[\n   " + ",\n   ".join(cells) + "\n  ]"
 
 
-def _write_json(fh: IO[str], metadata, columns, precision):
+def _json_text(metadata, columns, precision) -> str:
     import json
 
     header = json.dumps({"schema_version": SCHEMA_VERSION, "metadata": dict(metadata)}, indent=1)
     samples = ",\n".join(f"  {json.dumps(name)}: {_json_list(cells)}" for name, cells in columns.items())
     # the header's closing "\n}" makes way for the samples object
-    fh.write(header[:-2] + f',\n "samples": {{\n{samples}\n }}\n}}\n')
+    return header[:-2] + f',\n "samples": {{\n{samples}\n }}\n}}\n'
 
 
 def write_table(
@@ -155,9 +154,11 @@ def write_table(
     Columns are numpy arrays or plain sequences; both give the same bytes
     for the same values.  A float64 array that is a uniform grid from 0
     (see the module docstring) takes its text from a per-process cache of
-    at most ``GRID_CACHE_SIZE`` grids.  Raises ValueError, before any file
-    is opened, for a table without columns or with columns of different
-    lengths.
+    at most ``GRID_CACHE_SIZE`` grids.  The whole text is rendered before
+    ``path`` is opened, and written in one call, so any error in it, such
+    as ValueError for a table without columns or with columns of different
+    lengths, or a metadata value that cannot be rendered, leaves an
+    existing file as it was and creates none.
     """
     cols = {name: _cells(col, precision, fmt == "csv") for name, col in columns.items()}
     lengths = {len(cells) for cells in cols.values()}
@@ -165,12 +166,13 @@ def write_table(
         raise ValueError("a table needs at least one column")
     if len(lengths) > 1:
         raise ValueError(f"all columns must have the same length, got lengths {sorted(lengths)}")
-    writer = _write_csv if fmt == "csv" else _write_json
+    text = (_csv_text if fmt == "csv" else _json_text)(metadata, cols, precision)
     if path is None:
-        writer(sys.stdout, metadata, cols, precision)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            writer(fh, metadata, cols, precision)
+            fh.write(text)
+
 
 def _parse_scalar(text: str):
     try:

@@ -45,9 +45,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from muskat import period as period_mod
-from muskat.agm import _agm, _complete, beta_of_alpha
+from muskat.agm import _agm, _complete, _landen, beta_of_alpha
 from muskat.branch import SolutionProfile, _reflect_quarter, gauss_panels
-from muskat.elliptic import _landen
 from muskat.errors import DomainError
 from muskat.export import SCHEMA_VERSION, format_float
 
@@ -65,7 +64,7 @@ def ellipe(m):
 
 def ellipj(u, m):
     """Jacobi (sn, cn, dn)(u|m) for an array u and a parameter 0 <= m < 1."""
-    return _landen(u, m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))[:3]
+    return _landen(np, np.asarray(u, dtype=float), m, *_agm(math.sqrt(1.0 - m), math.sqrt(m)))[:3]
 
 
 def ellipkm1(m):

@@ -23,6 +23,7 @@ from muskat import (
 )
 from muskat import branch as branch_mod
 from muskat import curve as curve_mod
+from muskat import expansion as expansion_mod
 from muskat.agm import Modulus
 from muskat import pendulum as pendulum_mod
 
@@ -472,7 +473,7 @@ def test_expansion_eps_validation():
 def test_expansion_eps_it_cannot_resolve_or_repeated_is_refused():
     # below 1e-5 (gamma - gamma_bar)/eps^2 loses its digits to rounding, and
     # a repeated eps leaves the fit in eps^2 rank-deficient
-    lo, hi = branch_mod.EPS_WINDOW
+    lo, hi = expansion_mod.EPS_WINDOW
     assert (lo, hi) == (1e-5, 0.1)
     for eps_list in ((1e-9,), (1e-300,), (0.02, math.nextafter(lo, 0.0)), (0.01, 0.01), (0.02, 0.04, 0.02)):
         with pytest.raises(DomainError, match="eps values"):
@@ -484,7 +485,7 @@ def test_expansion_eps_it_cannot_resolve_or_repeated_is_refused():
 def test_expansion_eps_beyond_the_coefficient_sup():
     # the first coefficient rises to c1(b=0) ~ 3.066268 at the blow-up end,
     # so l * eps at or above it has no branch point: bad input, not a failure
-    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
+    sup = expansion_mod._cosine_coefficient(Modulus.of_b(0.0))
     assert sup == pytest.approx(3.066268, abs=1e-6)
     with pytest.raises(OutOfRangeError) as info:
         muskat.expansion_check(P_UNIT, l=40, eps_list=(0.02, 0.1))
@@ -497,7 +498,7 @@ def test_sine_coefficient_against_x_quadrature(a):
     # the trapezoid rule in u against the Gauss route in x on the sampled profile
     mod = Modulus.of_alpha(a)
     prof = branch_mod._profile(mod.lam, mod, n_samples=65)
-    assert branch_mod._sine_coefficient(mod) == pytest.approx(
+    assert expansion_mod._cosine_coefficient(mod) == pytest.approx(
         muskat.fourier_sine_coefficient(prof, 1), abs=2e-15
     )
 
@@ -507,9 +508,9 @@ def test_sine_coefficient_converges_on_steep_profiles(a):
     # where the Gauss route in x cannot converge, the trapezoid rule in u
     # has converged at 64 nodes, and the coefficient stays below its sup
     mod = Modulus.of_alpha(a)
-    c64 = branch_mod._sine_coefficient(mod)
-    assert abs(c64 - branch_mod._sine_coefficient(mod, n_nodes=128)) <= 1e-15
-    assert c64 < branch_mod._sine_coefficient(Modulus.of_b(0.0))
+    c64 = expansion_mod._cosine_coefficient(mod)
+    assert abs(c64 - expansion_mod._cosine_coefficient(mod, n_nodes=128)) <= 1e-15
+    assert c64 < expansion_mod._cosine_coefficient(Modulus.of_b(0.0))
 
 
 #: the base coefficients l * eps that ``expansion-check --l 1..4`` solves for at its default eps
@@ -518,25 +519,38 @@ DEFAULT_EPS_BASES = sorted({l * e for l in (1, 2, 3, 4) for e in (0.02, 0.04, 0.
 
 def _count_coefficients(monkeypatch) -> list:
     calls = []
-    coefficient = branch_mod._sine_coefficient
+    coefficient = expansion_mod._cosine_coefficient
 
     def counted(a, *args):
         calls.append(a)
         return coefficient(a, *args)
 
-    monkeypatch.setattr(branch_mod, "_sine_coefficient", counted)
+    monkeypatch.setattr(expansion_mod, "_cosine_coefficient", counted)
     return calls
 
 
 def test_expansion_solves_take_few_coefficient_evaluations(monkeypatch):
-    # Newton in b from the small-amplitude start: at most 8 coefficients per
-    # solve where Brent on the slope took 8 to 11
+    # Newton in b from the small-amplitude start, with the secant of (c/A)^2
+    # in its derivative: 3 or 4 coefficients per solve at the default eps
+    # (3 to 8 with (c/A)^2 frozen, and Brent on the slope took 8 to 11)
     calls = _count_coefficients(monkeypatch)
     for eps_base in DEFAULT_EPS_BASES:
         assert eps_base <= 0.32
         calls.clear()
-        branch_mod._lambda_for_coefficient(eps_base)
-        assert 1 <= len(calls) <= 8, (eps_base, len(calls))
+        expansion_mod._lambda_for_coefficient(eps_base)
+        assert 1 <= len(calls) <= 5, (eps_base, len(calls))
+
+
+def test_expansion_solves_take_few_coefficient_evaluations_up_to_the_sup(monkeypatch):
+    # with (c/A)^2 frozen the iteration was linear above eps_base ~ 0.28 and
+    # took up to 26 coefficients near the sup; with the secant it takes at most 11
+    calls = _count_coefficients(monkeypatch)
+    worst = 0
+    for eps_base in np.linspace(0.005, 3.0, 300).tolist():
+        calls.clear()
+        expansion_mod._lambda_for_coefficient(eps_base)
+        worst = max(worst, len(calls))
+    assert worst <= 12
 
 
 def test_one_agm_per_coefficient_evaluation(monkeypatch):
@@ -547,11 +561,11 @@ def test_one_agm_per_coefficient_evaluation(monkeypatch):
     for eps_base in DEFAULT_EPS_BASES:
         coefficients.clear()
         calls.clear()
-        branch_mod._lambda_for_coefficient(eps_base)
+        expansion_mod._lambda_for_coefficient(eps_base)
         assert len(calls) == len(coefficients), eps_base
     calls.clear()
     muskat.expansion_check(P_UNIT, l=1)
-    assert len(calls) <= 16  # 41 before
+    assert len(calls) <= 11  # 13 with (c/A)^2 frozen, 41 with three AGMs per coefficient
 
 
 def test_expansion_solve_against_brent_on_the_slope():
@@ -559,16 +573,16 @@ def test_expansion_solve_against_brent_on_the_slope():
     # took before the Newton in b, as the oracle up to the coefficient's sup;
     # c is flat to its rounding over a few ulp of lambda, so the two solvers
     # agree to 1.7e-15 relative, not to the ulp
-    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
+    sup = expansion_mod._cosine_coefficient(Modulus.of_b(0.0))
     for eps_base in np.linspace(0.005, sup * (1.0 - 1e-6), 101).tolist():
         def g(a):
-            return eps_base - branch_mod._sine_coefficient(Modulus.of_alpha(a))
+            return eps_base - expansion_mod._cosine_coefficient(Modulus.of_alpha(a))
 
         hi = 1.0
         while g(hi) >= 0.0:
             hi *= 2.0
         want = Modulus.of_alpha(brentq(g, 0.0, hi, xtol=math.ulp(0.0))).lam
-        got = branch_mod._lambda_for_coefficient(eps_base)
+        got = expansion_mod._lambda_for_coefficient(eps_base)
         assert abs(got - want) <= 1.7e-15 * want, eps_base
 
 
@@ -576,14 +590,14 @@ def test_expansion_check_reaches_the_coefficient_sup():
     # l * eps within 1e-9 of c1(b=0): the root lies at a slope near 1e9,
     # past the old bracket cap, and a root at b = 0 is lambda_star itself
     c = muskat.constants()
-    sup = branch_mod._sine_coefficient(Modulus.of_b(0.0))
+    sup = expansion_mod._cosine_coefficient(Modulus.of_b(0.0))
     l = 31
     eps = (sup - 5e-10) / l
     assert sup - l * eps <= 1e-9 and eps <= 0.1
     fit = muskat.expansion_check(P_UNIT, l=l, eps_list=(eps,))
     gamma_star_l = P_UNIT.weight / c.lambda_star / l**2
     assert gamma_star_l * (1.0 - 1e-8) < fit.gammas[0] < gamma_star_l
-    assert branch_mod._lambda_for_coefficient(sup) == c.lambda_star
+    assert expansion_mod._lambda_for_coefficient(sup) == c.lambda_star
 
 
 def test_newton_in_b_returns_a_root_it_starts_on():

@@ -484,7 +484,7 @@ def test_convergence_failure_is_a_numerical_failure(tmp_path, capsys, monkeypatc
     def unconverged(*args, **kwargs):
         raise muskat.ConvergenceError("iteration not converged")
 
-    monkeypatch.setattr(muskat.branch, "expansion_check", unconverged)
+    monkeypatch.setattr(muskat.expansion, "expansion_check", unconverged)
     out = tmp_path / "fit.csv"
     assert run(["expansion-check", "--eps", "0.04", "--out", str(out)]) == 1
     assert capsys.readouterr().err == "numerical failure: iteration not converged\n"

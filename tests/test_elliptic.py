@@ -132,6 +132,53 @@ def test_jacobi_functions_against_oracle_on_graded_grid(m):
                 assert abs(got - float(want)) <= 1e-15, (ui, got, want)
 
 
+#: the parameters the shared Landen recurrence is checked on, from the flat arc to the blow-up end
+RECURRENCE_MS = [0.0, 1e-8, 0.1, 0.25, 0.5 - 1e-9, 0.5]
+
+
+def _numpy_landen_before_the_move(u, m, a_s, c_s):
+    """The numpy Landen sweep as ``elliptic`` ran it before the recurrence moved to ``agm``."""
+    n = len(a_s) - 1
+    phi = (2.0**n * a_s[-1]) * np.asarray(u, dtype=float)
+    zeta = 0.0
+    for a, c in zip(a_s[:0:-1], c_s[:0:-1]):
+        s = np.sin(phi)
+        zeta = zeta + c * s
+        phi = 0.5 * (phi + np.arcsin((c / a) * s))
+    sn = np.sin(phi)
+    return sn, np.cos(phi), np.sqrt(1.0 - m * sn * sn), zeta
+
+
+@pytest.mark.parametrize("m", RECURRENCE_MS)
+def test_landen_in_math_agrees_with_numpy(m):
+    # one recurrence, two namespaces: math.sin equals np.sin here, but asin
+    # may differ by an ulp, which can flip the rounding of phi_N + asin at
+    # phi_N = 2^N a_N u; halved N times that is about an ulp of u, so the
+    # math values sit within 4e-16 on the quarter [0, K] the expansion
+    # coefficient samples, and within 2 ulp of 4K over the whole period
+    mod = Modulus.of_b(1.0 - 2.0 * m)
+    rows = mod.m, mod.a_s, mod.c_s
+    u = np.linspace(0.0, 4.0 * mod.K, 1001)
+    arrays = [np.broadcast_to(v, u.shape) for v in agm._landen(np, u, *rows)]
+    scalars = np.array([agm._landen(math, x, *rows) for x in u.tolist()]).T
+    quarter = u <= mod.K
+    for got, want in zip(scalars, arrays):
+        assert np.max(np.abs(got - want)[quarter]) <= 4e-16
+        assert np.max(np.abs(got - want)) <= 2.0 * math.ulp(4.0 * mod.K)
+
+
+@pytest.mark.parametrize("m", RECURRENCE_MS)
+def test_arc_sweep_is_bitwise_the_numpy_sweep_before_the_move(m):
+    mod = Modulus.of_b(1.0 - 2.0 * m)
+    arc = Arc(mod.lam, mod)
+    u = np.linspace(0.0, 4.0 * mod.K, 1001)
+    sn, cn, dn, zeta = _numpy_landen_before_the_move(u, mod.m, mod.a_s, mod.c_s)
+    want = ((mod.Q * u + 2.0 * zeta) / math.sqrt(mod.lam), sn, cn, dn)
+    for got, expected in zip(arc._sweep(u), want):
+        expected = np.broadcast_to(expected, u.shape)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 @pytest.mark.parametrize("m", [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)])
 def test_kernel_terminates_at_the_blowup_parameter(m):
     # m = 1/2 is the slope blow-up; an AGM that waits for a - b to reach

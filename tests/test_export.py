@@ -97,6 +97,31 @@ def test_writers_reject_empty_and_ragged_tables(tmp_path):
         assert not path.exists()
 
 
+class _Unprintable:
+    def __str__(self):
+        raise RuntimeError("no text")
+
+
+@pytest.mark.parametrize(
+    "fmt, metadata, error",
+    [("json", {"n": np.int64(3)}, TypeError), ("csv", {"n": _Unprintable()}, RuntimeError)],
+    ids=["json-int64", "csv-str-raises"],
+)
+def test_a_refused_write_leaves_the_file_it_would_replace(tmp_path, fmt, metadata, error):
+    # the metadata is rendered with the columns, before the file is opened:
+    # a write that fails there truncated the old file (to 0 bytes in JSON,
+    # to the schema line in CSV)
+    old = tmp_path / f"old.{fmt}"
+    write_table(str(old), {"kind": "old"}, {"x": [0.5]}, fmt=fmt)
+    before = old.read_bytes()
+    new = tmp_path / f"new.{fmt}"
+    for path in (old, new):
+        with pytest.raises(error):
+            write_table(str(path), metadata, {"x": [1.0, 2.0]}, fmt=fmt)
+    assert old.read_bytes() == before
+    assert not new.exists()
+
+
 def test_csv_rejects_ragged_columns(tmp_path):
     path = tmp_path / "t.csv"
     with pytest.raises(ValueError, match="same length"):

@@ -65,10 +65,12 @@ def test_import_muskat_loads_no_submodule_and_no_numpy():
 
 
 def test_scalar_commands_never_load_numpy(tmp_path):
-    # constants, classify, branch and coexist run on the math module alone;
-    # the profile handler then brings numpy in.  Their records are
-    # NamedTuples: ``dataclasses`` imports ``inspect``, a tenth of their start-up
-    scalar = [["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"]]
+    # constants, classify, branch, coexist and expansion-check run on the
+    # math module alone; the profile handler then brings numpy in.  Their
+    # records are NamedTuples: ``dataclasses`` imports ``inspect``, a tenth
+    # of their start-up
+    scalar = [["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"], ["expansion-check"],
+              ["expansion-check", "--l", "4", "--format", "json"]]
     script = (
         "import json, sys\n"
         "slow = {'dataclasses', 'inspect'}\n"
@@ -128,6 +130,15 @@ def test_branch_keeps_its_names_as_the_scalar_objects():
     # the arc is the profile: the generic quarter extension left for the oracles
     for removed in ("QuarterProfile", "extend_odd_periodic", "_odd_extension_evaluator"):
         assert not hasattr(branch_mod, removed), removed
+    # the expansion check is scalar: branch re-exports it, and its numpy
+    # coefficient and least-squares fit are gone
+    expansion_mod = importlib.import_module("muskat.expansion")
+    for name in ("EPS_WINDOW", "ExpansionFit", "expansion_check"):
+        assert getattr(branch_mod, name) is getattr(expansion_mod, name), name
+    for removed in ("_sine_coefficient", "_lambda_for_coefficient"):
+        assert not hasattr(branch_mod, removed), removed
+    assert not hasattr(muskat.elliptic.Arc, "cosine_coefficient")
+    assert muskat.elliptic._landen is agm_mod._landen  # one recurrence, in agm
     # agm is the one home of the slope -> b maps
     for removed in ("beta_of_alpha", "one_minus_beta"):
         assert not hasattr(muskat.elliptic, removed) and removed not in muskat.period.__all__, removed
