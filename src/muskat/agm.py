@@ -6,8 +6,8 @@ attaches to a slope alpha is a closed form in K(m) and E(m) (DLMF §19.8).
 from a slope or from b.  ``_landen`` runs the descending Landen
 recurrence on its rows (DLMF §22.20(ii)), which gives sn, cn, dn and the
 Jacobi zeta function; it is written once against an array namespace, so
-``elliptic.Arc`` calls it with numpy on arrays of u and the expansion
-coefficient with ``math`` on one u at a time.
+``elliptic.Arc`` calls it with numpy on arrays of u or with
+``elliptic.MATH`` on one u, and the expansion coefficient with ``math``.
 
 K and E come from the AGM of 1 and b0 (DLMF §19.8(i)): K = pi / (2 AGM),
 and E = K (1 - sum_n 2^(n-1) c_n^2) (19.8.6).  The AGM takes

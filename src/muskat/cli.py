@@ -6,7 +6,16 @@ expansion-check.  Every subcommand shares the flags --g, --rho-plus,
 tolerance, since every slope solve runs to rounding.  Exit codes: 0
 success, 1 numerical failure (a library error that is a RuntimeError),
 2 invalid input (one that is a ValueError).  Flag values override config
-file values, which override built-in defaults.
+file values, which override built-in defaults; ``--n`` sets ``n_points``
+for ``branch`` and ``n_samples`` for ``profile`` and ``pendulum``.
+
+No command loads numpy.  ``profile`` and ``pendulum`` run the arc's
+namespace-generic code (``elliptic.Arc``) on ``elliptic.MATH``, one
+sample at a time, and hand plain lists to ``write_table``; their samples
+are the numpy library's (``branch.profile_at``, ``scale_profile``,
+``translate_even``, ``pendulum.to_pendulum``) to within an ulp of the
+arc's u.  ``main`` builds the parser of the named subcommand only, whose
+usage and error text are the full parser's.
 """
 
 from __future__ import annotations
@@ -26,39 +35,26 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="muskat",
-        description=(
-            "Steady fingering interfaces in a periodic Hele-Shaw cell: "
-            "bifurcation branches, blow-up regimes, pendulum correspondence."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(sp) -> None:
+    sp.add_argument("--g", type=float, default=None, help="gravitational acceleration")
+    sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
+    sp.add_argument("--rho-minus", type=float, default=None, help="density of the lower fluid")
+    sp.add_argument("--h", type=float, default=None, help="cell half-height")
+    sp.add_argument("--config", default=None, help="JSON config file")
+    sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
 
-    def common(sp):
-        sp.add_argument("--g", type=float, default=None, help="gravitational acceleration")
-        sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
-        sp.add_argument("--rho-minus", type=float, default=None, help="density of the lower fluid")
-        sp.add_argument("--h", type=float, default=None, help="cell half-height")
-        sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None, help="output path (stdout when omitted)")
-        sp.add_argument("--format", choices=("csv", "json"), default=None, help="table format")
 
-    sp = sub.add_parser("constants", help="threshold constants and regime classification")
-    common(sp)
+def _constants_args(sp) -> None:
     sp.add_argument("--l", type=int, default=5, help="list bifurcation points up to this mode")
 
-    sp = sub.add_parser("classify", help="blow-up regime for the configured cell height")
-    common(sp)
 
-    sp = sub.add_parser("branch", help="trace a bifurcation branch to a table")
-    common(sp)
+def _branch_args(sp) -> None:
     sp.add_argument("--l", type=int, default=1, help="mode number (minimal period 2*pi/l)")
     sp.add_argument("--n", type=int, default=None, help="number of branch points")
 
-    sp = sub.add_parser("profile", help="export one steady profile over a 2*pi window")
-    common(sp)
+
+def _profile_args(sp) -> None:
     sp.add_argument("--l", type=int, default=1, help="mode number")
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=float, help="base branch parameter in (lambda_h, 1]")
@@ -67,26 +63,59 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", choices=("plus", "minus"), default="plus")
     sp.add_argument("--n", type=int, default=None, help="number of samples")
 
-    sp = sub.add_parser("pendulum", help="export the pendulum swing matched to a profile")
-    common(sp)
+
+def _pendulum_args(sp) -> None:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--lambda", dest="lam", type=float, help="branch parameter in (lambda_star, 1]")
     group.add_argument("--gamma", dest="gamma", type=float, help="surface tension (alternative to --lambda)")
     sp.add_argument("--n", type=int, default=None, help="number of samples")
 
-    sp = sub.add_parser("coexist", help="gamma windows where consecutive branches coexist")
-    common(sp)
+
+def _coexist_args(sp) -> None:
     sp.add_argument("--l-max", type=int, default=6, help="largest mode to examine")
 
-    sp = sub.add_parser(
-        "expansion-check", help="fit the quadratic gamma coefficient near a bifurcation point"
-    )
-    common(sp)
+
+def _expansion_check_args(sp) -> None:
     sp.add_argument("--l", type=int, default=1, help="mode number")
     sp.add_argument(
         "--eps", default="0.02,0.04,0.08", help="comma-separated distinct amplitude parameters in [1e-5, 0.1]"
     )
 
+
+#: each subcommand's help line and the flags it adds to the common ones, in the order of --help
+_SUBCOMMANDS = {
+    "constants": ("threshold constants and regime classification", _constants_args),
+    "classify": ("blow-up regime for the configured cell height", None),
+    "branch": ("trace a bifurcation branch to a table", _branch_args),
+    "profile": ("export one steady profile over a 2*pi window", _profile_args),
+    "pendulum": ("export the pendulum swing matched to a profile", _pendulum_args),
+    "coexist": ("gamma windows where consecutive branches coexist", _coexist_args),
+    "expansion-check": ("fit the quadratic gamma coefficient near a bifurcation point", _expansion_check_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone when it names one.
+
+    A parser of one subcommand writes the usage and error text of the full
+    parser: its subcommand metavar is the full parser's list of choices.
+    """
+    parser = argparse.ArgumentParser(
+        prog="muskat",
+        description=(
+            "Steady fingering interfaces in a periodic Hele-Shaw cell: "
+            "bifurcation branches, blow-up regimes, pendulum correspondence."
+        ),
+    )
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args = _SUBCOMMANDS[name]
+        sp = sub.add_parser(name, help=help_text)
+        _common(sp)
+        if add_args is not None:
+            add_args(sp)
     return parser
 
 
@@ -102,7 +131,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     )
     n = getattr(args, "n", None)
     if n is not None:
-        overrides.update(n_points=n, n_samples=n)
+        # --n sets the grid the command reads: branch points, or profile and swing samples
+        overrides["n_points" if args.command == "branch" else "n_samples"] = n
     cfg = cfg.updated(**overrides)
     cfg.validate()
     return cfg
@@ -194,10 +224,56 @@ def _base_lambda(cfg: RunConfig, args, l: int) -> float:
     return curve.lambda_of_gamma(p, args.gamma * l * l)
 
 
-def cmd_profile(cfg: RunConfig, args) -> None:
-    import numpy as np
+def _profile_samples(lam: float, mod, n: int, l: int, even: bool):
+    """(period, f, f') of the mode-l profile at base lam on linspace(0, period, n), as lists.
 
-    from . import branch as branch_mod
+    The samples of ``branch.profile_at``, ``scale_profile`` and
+    ``translate_even``, from the same arc code on ``MATH``: a 4k + 1 grid
+    reflects the inverted first quarter and shifts an even profile by k
+    steps, and other grids evaluate the odd profile at x, or at
+    l (x + period/4) for an even one.
+    """
+    if mod.alpha == 0.0:
+        return 2.0 * math.pi / l, [0.0] * n, [0.0] * n
+    from .elliptic import MATH, Arc
+
+    arc = Arc(lam, mod)
+    period = 4.0 * arc.quarter
+    k, rem = divmod(n - 1, 4)
+    if rem == 0:
+        F, G = zip(*(arc._rising(MATH, x) for x in MATH.linspace(0.0, period, n)[: k + 1]))
+        back_f, back_g = F[-2::-1], G[-2::-1]
+        f = [*F, *back_f, *(-v for v in F[1:]), *(-v for v in back_f)]
+        fp = [*G, *(-v for v in back_g), *(-v for v in G[1:]), *back_g]
+        if even:
+            f, fp = f[k:-1] + f[: k + 1], fp[k:-1] + fp[: k + 1]
+    else:
+        if even:
+            shift = 0.25 * (period / l)
+            xs = [l * (x + shift) for x in MATH.linspace(0.0, period / l, n)]
+        else:
+            xs = MATH.linspace(0.0, period, n)
+        f, fp = zip(*(arc._odd(MATH, x) for x in xs))
+    return period / l, [v / l for v in f], list(fp)
+
+
+def _residual(period: float, f: list, fp: list, lam: float) -> tuple[float, float]:
+    """``branch.residual`` of samples on linspace(0, period, n), with the trapezoid sum by math.fsum."""
+    from .elliptic import MATH
+
+    x = MATH.linspace(0.0, period, len(f))
+    step = x[1] - x[0]
+    fi = f[:-1]
+    worst = 0.0
+    for j, v in enumerate(fi):
+        f2 = (fi[(j + 1) % len(fi)] - 2.0 * v + fi[j - 1]) / step**2
+        worst = max(worst, abs(f2 / (1.0 + fp[j] * fp[j]) ** 1.5 + lam * v))
+    mean = math.fsum((b - a) * (g + e) / 2.0 for a, b, e, g in zip(x, x[1:], f, f[1:])) / period
+    return worst, abs(mean)
+
+
+def cmd_profile(cfg: RunConfig, args) -> None:
+    from .elliptic import MATH
 
     p = cfg.physical()
     l = args.l
@@ -212,54 +288,53 @@ def cmd_profile(cfg: RunConfig, args) -> None:
             f"lambda={lam:.9g} outside feasible window ({window.lambda_h:.9g}, 1] "
             f"for l={l}, h={p.h:g}",
         )
-    prof = branch_mod.profile_at(lam, n_samples=cfg.n_samples)
-    prof = branch_mod.scale_profile(prof, l)
-    if args.parity == "even":
-        prof = branch_mod.translate_even(prof, l)
-    if args.sign == "minus":
-        prof = branch_mod.negate_profile(prof)
-    res_ode, res_mean = branch_mod.residual(prof)
-    # the samples sit on linspace(0, 2 pi/l, n): x = 2 pi j/(n - 1) is sample l j, modulo the period
     n = cfg.n_samples
-    xs = np.linspace(0.0, 2.0 * math.pi, n)
-    idx = (l * np.arange(n)) % (n - 1)
-    f, fp = prof.f[idx], prof.f_prime[idx]
+    mod = curve._modulus_of_lambda(lam)
+    period, f, fp = _profile_samples(lam, mod, n, l, args.parity == "even")
+    if args.sign == "minus":
+        f, fp = [-v for v in f], [-v for v in fp]
+    res_ode, res_mean = _residual(period, f, fp, lam * l * l)
+    # the samples sit on linspace(0, 2 pi/l, n): x = 2 pi j/(n - 1) is sample l j, modulo the period
+    idx = [l * j % (n - 1) for j in range(n)]
     metadata = {
         "kind": "profile",
-        "lambda": prof.lam,
+        "lambda": lam * l * l,
         "gamma": curve.gamma_of_lambda(p, lam) / (l * l),
         "l": l,
-        "alpha": prof.alpha,
-        "period": prof.period,
-        "parity": prof.parity,
+        "alpha": mod.alpha,
+        "period": period,
+        "parity": args.parity,
         "sign": args.sign,
         "residual_ode": res_ode,
         "residual_mean": res_mean,
         "units": "x:radian f:length f_prime:dimensionless",
     }
-    write_table(cfg.out, metadata, {"x": xs, "f": f, "f_prime": fp}, fmt=cfg.format, precision=cfg.precision)
+    columns = {"x": MATH.linspace(0.0, 2.0 * math.pi, n), "f": [f[i] for i in idx], "f_prime": [fp[i] for i in idx]}
+    write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
 
 
 def cmd_pendulum(cfg: RunConfig, args) -> None:
-    from . import pendulum as pendulum_mod
+    from .elliptic import MATH, Arc
 
     lam = _base_lambda(cfg, args, 1)
     # one slope solve: the swing of its arc (crest up) and the branch-form period 2 pi/Q
     mod = curve._modulus_of_lambda(lam)
-    traj = pendulum_mod._sample_swing(lam, mod, cfg.n_samples)
+    arc = Arc(lam, mod)
+    s = MATH.linspace(0.0, arc.length, cfg.n_samples)
+    theta, theta_prime = zip(*(arc._swing(MATH, arc.root_lam * v) for v in s))
     L_formula = 2.0 * math.pi / mod.Q
     metadata = {
         "kind": "pendulum",
         "lambda": lam,
         "alpha": mod.alpha,
-        "theta_max": traj.theta_max,
+        "theta_max": math.atan(mod.alpha),
         "L_formula": L_formula,
-        "L_arclength": traj.period_L,
-        "L_abs_diff": abs(L_formula - traj.period_L),
+        "L_arclength": arc.length,
+        "L_abs_diff": abs(L_formula - arc.length),
         "units": "s:length theta:radian theta_prime:radian/length",
     }
-    columns = {"s": traj.s, "theta": traj.theta, "theta_prime": traj.theta_prime}
-    write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
+    write_table(cfg.out, metadata, {"s": s, "theta": theta, "theta_prime": theta_prime}, fmt=cfg.format,
+                precision=cfg.precision)
 
 
 def cmd_coexist(cfg: RunConfig, args) -> None:
@@ -313,8 +388,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _resolve_config(args)
         _HANDLERS[args.command](cfg, args)

@@ -169,9 +169,9 @@ def gamma_of_lambda(p: PhysicalParams, lam: float) -> float:
 
 
 def lambda_of_gamma(p: PhysicalParams, gamma: float) -> float:
-    """Inverse map lam = g (rho_plus - rho_minus) / gamma."""
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    """Inverse map lam = g (rho_plus - rho_minus) / gamma, for 0 < gamma < inf."""
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     return p.weight / gamma
 
 

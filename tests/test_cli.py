@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -546,3 +547,118 @@ def test_no_scipy_on_the_import_path(tmp_path):
     assert codes == [0] * len(commands), proc.stderr
     assert oracle_modules == []
     assert len(list(tmp_path.iterdir())) == len(commands)
+
+
+def _library_profile(lam, n, l, parity, sign):
+    """The numpy library's profile as ``muskat profile`` exports it: (profile, residual, f, f') on the 2*pi grid."""
+    shown = muskat.scale_profile(muskat.profile_at(lam, n), l)
+    if parity == "even":
+        shown = muskat.translate_even(shown, l)
+    if sign == "minus":
+        shown = muskat.negate_profile(shown)
+    idx = (l * np.arange(n)) % (n - 1)
+    return shown, muskat.residual(shown), shown.f[idx], shown.f_prime[idx]
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8])
+def test_profile_command_agrees_with_the_library(tmp_path, gap):
+    # the command runs the arc on MATH and the library on numpy, whose
+    # arcsin differs from libm's by an ulp on some inputs: every cell sits
+    # within the bounds that hold a profile's samples to its evaluator
+    lam = muskat.constants().lambda_star + gap
+    out = tmp_path / "profile.csv"
+    for n, l, parity, sign in itertools.product((513, 100), (1, 2, 3), ("odd", "even"), ("plus", "minus")):
+        argv = ["profile", "--lambda", repr(lam), "--n", str(n), "--l", str(l), "--parity", parity, "--sign", sign]
+        assert run(argv + ["--h", "5", "--out", str(out)]) == 0
+        meta, cols = read_table(str(out))
+        shown, (res_ode, res_mean), f, fp = _library_profile(lam, n, l, parity, sign)
+        assert (meta["lambda"], meta["alpha"], meta["period"]) == (shown.lam, shown.alpha, shown.period)
+        assert np.array_equal(cols["x"], np.linspace(0.0, 2.0 * math.pi, n))
+        scale = np.maximum(np.abs(fp), 1.0)
+        assert np.all(np.abs(cols["f"] - f) <= 4.0 * np.spacing(shown.period) * scale), argv
+        assert np.all(np.abs(cols["f_prime"] - fp) <= 1e-12 * scale), argv
+        # a second difference of the samples, and a sum of them taken by math.fsum
+        assert meta["residual_ode"] == pytest.approx(res_ode, rel=1e-12, abs=1e-300), argv
+        assert abs(meta["residual_mean"] - res_mean) <= 1e-15, argv
+
+
+@pytest.mark.parametrize("n", [513, 100])
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_flat_profile_command_is_the_library_bit_for_bit(tmp_path, n, parity):
+    # at lambda = 1 the profile is exactly 0, and -0.0 under --sign minus
+    out = tmp_path / "flat.csv"
+    for l, sign in itertools.product((1, 2, 3), ("plus", "minus")):
+        argv = ["profile", "--lambda", "1", "--n", str(n), "--l", str(l), "--parity", parity, "--sign", sign]
+        assert run(argv + ["--out", str(out)]) == 0
+        meta, cols = read_table(str(out))
+        _, (res_ode, res_mean), f, fp = _library_profile(1.0, n, l, parity, sign)
+        for got, want in ((cols["f"], f), (cols["f_prime"], fp)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), argv
+        assert (meta["residual_ode"], meta["residual_mean"]) == (res_ode, res_mean) == (0.0, 0.0)
+        assert np.all(np.signbit(cols["f"]) == (sign == "minus"))
+
+
+@pytest.mark.parametrize("gap", [0.5, 0.1, 1e-2, 1e-4, 1e-6, 1e-8, 1.0 - muskat.constants().lambda_star])
+def test_pendulum_command_agrees_with_the_library(tmp_path, gap):
+    # the shared Landen recurrence on MATH sits within 2 ulp(4K) of numpy's
+    # over the whole period (test_landen_in_math_agrees_with_numpy), and so
+    # do theta = -2 asin(sqrt(m) sn) and theta' = -2 sqrt(lam m) cn
+    lam = muskat.constants().lambda_star + gap
+    out = tmp_path / "swing.csv"
+    for n in (513, 100):
+        assert run(["pendulum", "--lambda", repr(lam), "--n", str(n), "--out", str(out)]) == 0
+        meta, cols = read_table(str(out))
+        mod = muskat.curve._modulus_of_lambda(lam)
+        traj = muskat.pendulum._sample_swing(lam, mod, n)
+        assert (meta["L_arclength"], meta["theta_max"], meta["alpha"]) == (traj.period_L, traj.theta_max, mod.alpha)
+        assert np.array_equal(cols["s"], traj.s)
+        bound = 2.0 * math.ulp(4.0 * mod.K)
+        for got, want in ((cols["theta"], traj.theta), (cols["theta_prime"], traj.theta_prime)):
+            assert np.max(np.abs(got - want)) <= bound
+            if gap == 1.0 - muskat.constants().lambda_star:
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["profile", "--lambda", "0.5"], "n_samples"), (["pendulum", "--lambda", "0.5"], "n_samples"),
+    (["branch"], "n_points"),
+])
+def test_n_flag_names_the_field_its_command_reads(tmp_path, capsys, argv, field):
+    out = tmp_path / "t.out"
+    assert run(argv + ["--n", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {field} must be >= 2, got 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["profile", "pendulum"])
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_gamma_outside_zero_to_infinity_is_bad_input(tmp_path, capsys, command, gamma):
+    out = tmp_path / "t.out"
+    assert run([command, "--gamma", gamma, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {gamma}\n"
+    assert not out.exists()
+
+
+#: invocations the parser refuses or answers itself, after a valid command name
+BAD_INVOCATIONS = [
+    ["profile"], ["profile", "--lambda", "0.5", "--gamma", "1"], ["profile", "--lambda", "x"],
+    ["profile", "--lambda", "0.5", "--parity", "both"], ["profile", "--lambda", "0.5", "extra"],
+    ["pendulum", "--lambda", "0.5", "--bogus", "1"], ["branch", "--n", "2.5"], ["classify", "--tol", "1e-12"],
+    ["constants", "--l"], ["coexist", "--l-max", "two"], ["expansion-check", "-h"], ["profile", "--help"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_INVOCATIONS, ids=" ".join)
+def test_one_subcommand_parser_writes_the_full_parsers_text(capsys, argv):
+    # main builds only the named subcommand's parser; its usage, error and
+    # help text and its exit code are the full parser's, byte for byte
+    texts = []
+    for parser in (build_parser(), build_parser(argv[0])):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        texts.append((exc.value.code, capsys.readouterr()))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    texts.append((exc.value.code, capsys.readouterr()))
+    assert texts[0] == texts[1] == texts[2]
+    assert texts[0][0] in (0, 2)

@@ -174,7 +174,7 @@ def test_arc_sweep_is_bitwise_the_numpy_sweep_before_the_move(m):
     u = np.linspace(0.0, 4.0 * mod.K, 1001)
     sn, cn, dn, zeta = _numpy_landen_before_the_move(u, mod.m, mod.a_s, mod.c_s)
     want = ((mod.Q * u + 2.0 * zeta) / math.sqrt(mod.lam), sn, cn, dn)
-    for got, expected in zip(arc._sweep(u), want):
+    for got, expected in zip(arc._sweep(np, u), want):
         expected = np.broadcast_to(expected, u.shape)
         assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -301,6 +301,40 @@ def test_inversion_step_bound_is_loud(monkeypatch):
     monkeypatch.setattr(elliptic, "MAX_NEWTON", 1)
     with pytest.raises(ConvergenceError):
         arc.u_of_x(np.linspace(0.0, arc.quarter, 17))
+    # and on MATH, where each abscissa is inverted on its own
+    with pytest.raises(ConvergenceError, match="at 1 abscissae"):
+        [arc._invert(elliptic.MATH, x) for x in np.linspace(0.0, arc.quarter, 17).tolist()]
+
+
+def test_math_binding_names_are_numpys_on_one_float():
+    xp = elliptic.MATH
+    for start, stop, num in [(0.0, 2.0 * math.pi, 513), (0.0, 7.416, 100), (-1.5, 0.3, 7), (0.0, 1e-300, 2)]:
+        assert np.array_equal(_bits(xp.linspace(start, stop, num)), _bits(np.linspace(start, stop, num)))
+    for x in (-0.0, 0.0, -1.0, 0.5, 2.0, math.nan):
+        assert np.array_equal(_bits([xp.clip(x, 0.0, 1.0)]), _bits(np.clip([x], 0.0, 1.0)))
+    nodes = np.linspace(0.0, 1.0, 9)
+    for v in (-1.0, 0.0, 0.125, 0.3, 1.0, 2.0):
+        assert xp.searchsorted(nodes.tolist(), v) == np.searchsorted(nodes, v)
+    assert (xp.where(True, 1.0, 2.0), xp.where(False, 1.0, 2.0), xp.any(False), xp.count_nonzero(True)) == (1.0, 2.0,
+                                                                                                          False, 1)
+
+
+@pytest.mark.parametrize("lam", [0.999, 0.5, muskat.constants().lambda_star + 1e-8])
+def test_math_binding_is_the_numpy_arc_one_float_at_a_time(lam):
+    # one source, two namespaces: numpy's arcsin and libm's asin differ by
+    # an ulp on some inputs, which moves u by about an ulp of 4K; the
+    # profile's bounds are those that hold its samples to its evaluator
+    arc = muskat.profile_at(lam).evaluate.__self__
+    xs = np.linspace(-arc.quarter, 5.0 * arc.quarter, 301)
+    f, fp = np.array([arc._odd(elliptic.MATH, x) for x in xs.tolist()]).T
+    want_f, want_fp = arc.odd(xs)
+    scale = np.maximum(np.abs(want_fp), 1.0)
+    assert np.all(np.abs(f - want_f) <= 4.0 * np.spacing(4.0 * arc.quarter) * scale)
+    assert np.all(np.abs(fp - want_fp) <= 1e-12 * scale)
+    u = np.linspace(0.0, 4.0 * arc.K, 301)
+    scalar = np.array([arc._swing(elliptic.MATH, v) for v in u.tolist()]).T
+    for got, want in zip(scalar, arc.swing(u)):
+        assert np.max(np.abs(got - want)) <= 2.0 * math.ulp(4.0 * arc.K)
 
 
 def test_arc_validation():

@@ -64,31 +64,58 @@ def test_import_muskat_loads_no_submodule_and_no_numpy():
     assert _child(f"import json, sys\nimport muskat\nprint(json.dumps({LOADED}))\n") == []
 
 
+#: every command, with the profile's other grid form (--n 100 is not 4k + 1), the
+#: even translation, the mirror and a higher mode, and JSON runs
+EVERY_COMMAND = [
+    ["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"], ["expansion-check"],
+    ["expansion-check", "--l", "4", "--format", "json"], ["profile", "--lambda", "0.5"],
+    ["profile", "--n", "100", "--parity", "even", "--l", "2", "--sign", "minus", "--lambda", "0.5"],
+    ["profile", "--gamma", "0.3", "--l", "2", "--parity", "even", "--format", "json"],
+    ["pendulum", "--lambda", "0.5"], ["pendulum", "--gamma", "1.7", "--n", "100", "--format", "json"],
+]
+
+
 def test_scalar_commands_never_load_numpy(tmp_path):
-    # constants, classify, branch, coexist and expansion-check run on the
-    # math module alone; the profile handler then brings numpy in.  Their
+    # every command runs on the math module alone: profile and pendulum run
+    # the arc on its MATH binding and hand lists to the writer.  Their
     # records are NamedTuples: ``dataclasses`` imports ``inspect``, a tenth
-    # of their start-up
-    scalar = [["constants"], ["classify"], ["branch", "--n", "5"], ["coexist"], ["expansion-check"],
-              ["expansion-check", "--l", "4", "--format", "json"]]
+    # of their start-up.  branch and pendulum are the numpy profile layers
     script = (
         "import json, sys\n"
-        "slow = {'dataclasses', 'inspect'}\n"
+        "slow = {'dataclasses', 'inspect', 'muskat.branch', 'muskat.pendulum'}\n"
         "slow_before = slow & set(sys.modules)\n"
         "from muskat.cli import main\n"
         "out = sys.argv[2]\n"
         "codes = [main(argv + ['--out', f'{out}/{i}.out']) for i, argv in enumerate(json.loads(sys.argv[1]))]\n"
-        "numpy_before = 'numpy' in sys.modules\n"
         "slow_loaded = sorted((slow & set(sys.modules)) - slow_before)\n"
-        "code = main(['profile', '--lambda', '0.5', '--n', '65', '--out', f'{out}/profile.out'])\n"
-        "print(json.dumps([codes, numpy_before, slow_loaded, code, 'numpy' in sys.modules]))\n"
+        "print(json.dumps([codes, slow_loaded, 'numpy' in sys.modules]))\n"
     )
-    codes, numpy_before, slow_loaded, profile_code, numpy_after = _child(script, json.dumps(scalar), str(tmp_path))
-    assert codes == [0] * len(scalar)
-    assert not numpy_before
+    codes, slow_loaded, numpy_after = _child(script, json.dumps(EVERY_COMMAND), str(tmp_path))
+    assert codes == [0] * len(EVERY_COMMAND)
     assert slow_loaded == []
-    assert profile_code == 0 and numpy_after
-    assert len(list(tmp_path.iterdir())) == len(scalar) + 1
+    assert not numpy_after
+    assert len(list(tmp_path.iterdir())) == len(EVERY_COMMAND)
+
+
+def test_every_command_runs_where_numpy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes ``import numpy`` raise ImportError;
+    # each command's file has the bytes of a run in this process, where numpy is loaded
+    script = (
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from muskat.cli import main\n"
+        "print(json.dumps([main(argv + ['--out', f'{sys.argv[2]}/{i}.out'])\n"
+        "                  for i, argv in enumerate(json.loads(sys.argv[1]))]))\n"
+    )
+    blocked, normal = tmp_path / "blocked", tmp_path / "normal"
+    blocked.mkdir()
+    normal.mkdir()
+    assert _child(script, json.dumps(EVERY_COMMAND), str(blocked)) == [0] * len(EVERY_COMMAND)
+    from muskat.cli import main
+
+    for i, argv in enumerate(EVERY_COMMAND):
+        assert main(argv + ["--out", str(normal / f"{i}.out")]) == 0
+        assert (blocked / f"{i}.out").read_bytes() == (normal / f"{i}.out").read_bytes(), argv
 
 
 def test_public_names_are_their_defining_objects():
