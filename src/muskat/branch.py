@@ -23,9 +23,9 @@ import numpy as np
 from . import elliptic
 from .agm import Modulus
 from .curve import (  # noqa: F401  (the scalar branch, re-exported)
-    ALPHA_MAX, H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda,
-    alpha_of_lambda, branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h,
-    lambda_of_gamma, trace_branch,
+    H_STAR_REL_TOL, Branch, BranchPoint, PhysicalParams, Regime, RegimeKind, _modulus_of_lambda, alpha_of_lambda,
+    branch_amplitude, coexistence_levels, gamma_bar, gamma_of_lambda, lambda_floor, lambda_h, lambda_of_gamma,
+    trace_branch,
 )
 from .errors import ConvergenceError, DomainError, ParityError
 from .expansion import EPS_WINDOW, ExpansionFit, expansion_check  # noqa: F401  (re-exported)
@@ -148,8 +148,8 @@ def profile_at(lam: float, n_samples: int = 513) -> SolutionProfile:
     Solves alpha(lam), takes the quarter arc in closed form (the Jacobi
     arc of ``elliptic.Arc``, from the slope solve's record), and extends
     it by odd reflection; the period 4 (2E - K)/sqrt(lam) equals 2*pi to
-    rounding.  Propagates OutOfRangeError / SaturationError from the slope
-    solve.
+    rounding.  Resolves every lam down to one ulp above lambda_star;
+    propagates OutOfRangeError from the slope solve outside the window.
     """
     return _profile(lam, _modulus_of_lambda(lam), n_samples)
 

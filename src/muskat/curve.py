@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple
 
 from .agm import Modulus, alpha_of_beta, constants, one_minus_beta
-from .errors import ConvergenceError, DomainError, OutOfRangeError, SaturationError
+from .errors import ConvergenceError, DomainError, OutOfRangeError
 
 __all__ = [
     "Branch",
@@ -49,15 +48,8 @@ __all__ = [
     "trace_branch",
 ]
 
-#: slope cap: beyond it (lam within ~6.4e-9 of lambda_star) the branch is
-#: out of numerical reach and the slope solves raise SaturationError
-ALPHA_MAX = 1e8
-
 #: relative half-width of the h == h_star comparison band
 H_STAR_REL_TOL = 1e-9
-
-#: bound on the ulp steps lambda_floor takes onto the resolvable side
-FLOOR_NUDGES = 1000
 
 #: step bound of the Newton iteration in b
 MAX_STEPS = 100
@@ -82,16 +74,16 @@ class PhysicalParams(_Cell):
 
     def __new__(cls, grav: float = 1.0, rho_plus: float = 1.0, rho_minus: float = 0.0, h: float = 2.0):
         self = super().__new__(cls, grav, rho_plus, rho_minus, h)
-        # "not x > 0" so that NaN is refused too
-        if not self.grav > 0.0:
-            raise DomainError("grav must be positive")
-        if not self.h > 0.0:
-            raise DomainError("h must be positive")
-        if not self.rho_plus > self.rho_minus:
-            raise DomainError("rho_plus must exceed rho_minus (heavier fluid on top)")
-        for name in ("grav", "rho_plus", "rho_minus", "h"):
+        # finiteness first, so that a NaN or an infinity is named as such
+        for name in self._fields:
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite")
+        if self.grav <= 0.0:
+            raise DomainError("grav must be positive")
+        if self.h <= 0.0:
+            raise DomainError("h must be positive")
+        if self.rho_plus <= self.rho_minus:
+            raise DomainError("rho_plus must exceed rho_minus (heavier fluid on top)")
         return self
 
     def _replace(self, **changes) -> "PhysicalParams":
@@ -129,8 +121,8 @@ class BranchPoint(NamedTuple):
     ``lam`` and ``gamma`` satisfy gamma = g (rho_plus - rho_minus) / lam for
     the owning PhysicalParams; ``alpha`` is the maximal slope (unchanged by
     the rescaling), ``amplitude`` the scaled peak height, ``quarter_period``
-    equals pi / (2 l) by construction.  Points the slope cap could not
-    resolve carry NaN data and ``truncated = True``.
+    equals pi / (2 l) by construction.  ``truncated`` is always False, since
+    every point of the window resolves; it stays for readers of the field.
     """
 
     lam: float
@@ -220,17 +212,12 @@ def alpha_of_lambda(lam: float) -> float:
     """The unique slope alpha >= 0 with theta(lam, alpha) = pi/2.
 
     Defined exactly on (lambda_star, 1]; alpha(1) = 0 and alpha diverges as
-    lam approaches lambda_star.  Strictly decreasing in lam.
-
-    Raises
-    ------
-    OutOfRangeError
-        If lam is not in (lambda_star, 1].
-    SaturationError
-        If alpha exceeds ALPHA_MAX (lam below ``lambda_floor()``).
+    lam approaches lambda_star, as (2/pi)/(lam - lambda_star): the float
+    one ulp above lambda_star resolves to about 1.1e16.  Strictly
+    decreasing in lam, to within the ulp(lam)/gap conditioning of the input.
+    Raises OutOfRangeError if lam is not in (lambda_star, 1].
     """
-    # at or above the floor the root lies below the cap: theta(floor, ALPHA_MAX) < pi/2
-    return min(_modulus_of_lambda(lam).alpha, ALPHA_MAX)
+    return _modulus_of_lambda(lam).alpha
 
 
 def _modulus_of_lambda(lam: float) -> Modulus:
@@ -244,11 +231,6 @@ def _modulus_of_lambda(lam: float) -> Modulus:
     c = constants()
     if not c.lambda_star < lam <= 1.0:
         raise OutOfRangeError(lam, (c.lambda_star, 1.0))
-    if lam < lambda_floor():
-        raise SaturationError(
-            f"slope exceeds ALPHA_MAX={ALPHA_MAX:g} at lambda={lam:.12g} "
-            f"(too close to lambda_star={c.lambda_star:.12g})"
-        )
     root_lam = math.sqrt(lam)
     target = 0.5 * math.pi
 
@@ -264,24 +246,9 @@ def branch_amplitude(lam: float) -> float:
     return max_amplitude(lam, alpha_of_lambda(lam))
 
 
-@lru_cache(maxsize=1)
 def lambda_floor() -> float:
-    """Smallest branch parameter whose slope does not exceed ALPHA_MAX.
-
-    Starts from the lam of ALPHA_MAX's record and steps up by ulps until
-    theta(lam, ALPHA_MAX) = K Q/sqrt(lam) < pi/2, so alpha_of_lambda(floor)
-    cannot saturate (one step or none).  Raises ConvergenceError if
-    FLOOR_NUDGES steps do not get there.
-    """
-    cap = Modulus.of_alpha(ALPHA_MAX)
-    lam = cap.lam
-    for _ in range(FLOOR_NUDGES):
-        if cap.K * cap.Q / math.sqrt(lam) < 0.5 * math.pi:
-            return lam
-        lam = math.nextafter(lam, 1.0)
-    raise ConvergenceError(
-        f"lambda_floor still saturates after {FLOOR_NUDGES} ulp steps (at lambda={lam:.17g})"
-    )
+    """The first float above lambda_star, where the branch window starts; kept for callers that read it."""
+    return math.nextafter(constants().lambda_star, 1.0)
 
 
 def lambda_h(p: PhysicalParams) -> Regime:
@@ -289,9 +256,8 @@ def lambda_h(p: PhysicalParams) -> Regime:
 
     h < h_star: the fingers touch the walls at the unique lambda_h in
     (lambda_star, 1) with branch amplitude 2 sqrt(m/lambda(b)) = h, where
-    lambda(b) = (2 K Q/pi)^2: one Newton iteration in b, to rounding.
-    lambda_h never falls below lambda_floor(), where it stays when h is
-    within ~1e-8 of h_star and the slope would exceed ALPHA_MAX.
+    lambda(b) = (2 K Q/pi)^2: one Newton iteration in b, to rounding, up to
+    the edge of the h_star band, where lambda_h - lambda_star is about 4e-10.
     h = h_star (within a relative band of 1e-9): lambda_h = lambda_star,
     both height and slope blow up.  h > h_star: lambda_h = lambda_star and
     only the slope blows up while the height stays below h.
@@ -313,7 +279,7 @@ def lambda_h(p: PhysicalParams) -> Regime:
             return h2 * kq * kq - math.pi**2 * mod.m, 2.0 * h2 * kq * mod.dkq_db(b) + 0.5 * math.pi**2, mod
 
         # start from the small-h asymptote m = h^2/4
-        lam_h = max(_newton_b(excess, max(0.0, 1.0 - 0.5 * h2)).lam, lambda_floor())
+        lam_h = _newton_b(excess, max(0.0, 1.0 - 0.5 * h2)).lam
     return Regime(kind=kind, lambda_h=lam_h, gamma_h=gamma_of_lambda(p, lam_h))
 
 
@@ -348,8 +314,8 @@ def trace_branch(
     quarter period -> pi / (2 l).  The window endpoint uses the effective
     ceiling l * h (the scaled profile must stay below h).  In the touching
     regime the solved endpoint is included as the first grid point; in the
-    blow-up regimes the window is open at lambda_star and points the slope
-    cap cannot resolve are emitted as truncated rows, never fabricated.
+    blow-up regimes the window is open at lambda_star.  Every grid point
+    resolves, however close to lambda_star.
     """
     if l < 1:
         raise DomainError(f"mode number must be >= 1, got {l}")
@@ -359,31 +325,11 @@ def trace_branch(
     touches = regime.kind is RegimeKind.TOUCHES_BOUNDARY
     grid = _grid(regime.lambda_h, n_points, include_start=touches)
 
-    points: list[BranchPoint] = []
-    for lam in grid:
-        gamma_scaled = gamma_of_lambda(p, lam) / (l * l)
-        try:
-            a = alpha_of_lambda(lam)
-            amp = max_amplitude(lam, a)
-            pt = BranchPoint(
-                lam=lam * l * l,
-                gamma=gamma_scaled,
-                alpha=a,
-                amplitude=amp / l,
-                quarter_period=0.5 * math.pi / l,
-                l=l,
-            )
-        except SaturationError:
-            pt = BranchPoint(
-                lam=lam * l * l,
-                gamma=gamma_scaled,
-                alpha=math.nan,
-                amplitude=math.nan,
-                quarter_period=math.nan,
-                l=l,
-                truncated=True,
-            )
-        points.append(pt)
+    points = [
+        BranchPoint(lam=lam * l * l, gamma=gamma_of_lambda(p, lam) / (l * l), alpha=a,
+                    amplitude=max_amplitude(lam, a) / l, quarter_period=0.5 * math.pi / l, l=l)
+        for lam, a in zip(grid, map(alpha_of_lambda, grid))
+    ]
     return Branch(l=l, points=points, regime=regime)
 
 

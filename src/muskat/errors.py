@@ -24,7 +24,7 @@ class OutOfRangeError(MuskatError, ValueError):
 
 
 class SaturationError(MuskatError, RuntimeError):
-    """The branch slope exceeds the cap ALPHA_MAX; the point is beyond numerical reach."""
+    """Raised by nothing: the slope solves resolve the whole branch window.  Kept for callers that catch it."""
 
 
 class ConvergenceError(MuskatError, RuntimeError):

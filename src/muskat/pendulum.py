@@ -208,13 +208,15 @@ def lambda_of_period(L: float) -> float:
     (lambda_star, 1] with L(lam) decreasing from 4/lambda_star down to
     2*pi.  Along the branch L = 2 pi/Q and lam = (2 K Q/pi)^2 are both
     explicit in b = 1/sqrt(1 + alpha^2), so this is one Newton iteration
-    in b on Q(b) = 2 pi/L, to rounding, never returning less than
-    ``lambda_floor()``.  Raises OutOfRangeError below 2*pi and beyond the
-    swing period of ``lambda_floor()``, solved only for a lam at the floor.
+    in b on Q(b) = 2 pi/L, to rounding.  Raises OutOfRangeError outside the
+    window [2*pi, 4/lambda_star): below 2*pi, and where the solve lands on
+    b = 0, lam = lambda_star, which is not a branch point.
     """
     two_pi = 2.0 * math.pi
+    lambda_star = constants().lambda_star
+    window = (two_pi, 4.0 / lambda_star)
     if L < two_pi - 1e-12:
-        raise OutOfRangeError(L, (two_pi, math.inf), f"no swing period below 2*pi, got {L}")
+        raise OutOfRangeError(L, window, f"no swing period below 2*pi, got {L}")
     if L <= two_pi:
         return 1.0
     target = two_pi / L
@@ -226,12 +228,9 @@ def lambda_of_period(L: float) -> float:
         return mod.Q - target, 0.5 if m == 0.0 else 0.5 + (mod.S - m) ** 2 / (2.0 * m * (1.0 - m)), mod
 
     # Q rises from Q(0) = pi lambda_star/2 to Q(1) = 1 about linearly in b
-    q0 = 0.5 * math.pi * constants().lambda_star
+    q0 = 0.5 * math.pi * lambda_star
     lam = curve._newton_b(residual, min(max((target - q0) / (1.0 - q0), 0.0), 1.0)).lam
-    floor = curve.lambda_floor()
-    if lam > floor:
-        return lam
-    L_floor = pendulum_period(floor)
-    if L > L_floor:
-        raise OutOfRangeError(L, (two_pi, L_floor), f"period {L} exceeds the largest resolvable swing period")
-    return floor
+    if lam <= lambda_star:
+        raise OutOfRangeError(L, window, f"swing period L={L:.12g} outside the branch window "
+                                         f"({window[0]:.12g}, {window[1]:.12g})")
+    return lam

@@ -19,7 +19,6 @@ from muskat import (
     ParityError,
     PhysicalParams,
     RegimeKind,
-    SaturationError,
 )
 from muskat import branch as branch_mod
 from muskat import curve as curve_mod
@@ -97,11 +96,35 @@ def test_alpha_out_of_range():
 
 
 def test_alpha_saturation_cap():
-    # the slope cap is a module constant; it bites only below lambda_floor
+    # no slope cap: each of the first 200 floats above lambda_star resolves,
+    # to a finite positive slope, a finite profile and a finite swing period
+    lam = muskat.constants().lambda_star
+    for _ in range(200):
+        lam = math.nextafter(lam, 1.0)
+        alpha = muskat.alpha_of_lambda(lam)
+        assert math.isfinite(alpha) and alpha > 0.0, lam
+        prof = muskat.profile_at(lam)
+        assert np.all(np.isfinite(prof.f)) and np.all(np.isfinite(prof.f_prime)), lam
+        assert math.isfinite(muskat.pendulum_period(lam)), lam
+
+
+def test_alpha_strictly_decreasing_down_to_gap_1e13():
+    # 8 gaps a decade; not ulp by ulp, where the solve's 1e-16 in b shows
     c = muskat.constants()
-    with pytest.raises(SaturationError):
-        muskat.alpha_of_lambda(c.lambda_star + 1e-10)
-    assert muskat.alpha_of_lambda(muskat.lambda_floor()) <= branch_mod.ALPHA_MAX
+    gaps = np.logspace(-13.0, math.log10(0.7), 104)
+    alphas = [muskat.alpha_of_lambda(c.lambda_star + float(g)) for g in gaps]
+    assert all(a > b for a, b in zip(alphas, alphas[1:]))
+
+
+def test_alpha_times_gap_tends_to_two_over_pi():
+    # alpha = (2/pi)/gap (1 + O(gap)), where gap is the float lam - lambda_star;
+    # the input carries ulp(lambda_star)/gap relative, so the bound has both terms
+    c = muskat.constants()
+    for g in np.logspace(-15.0, -3.0, 97):
+        lam = c.lambda_star + float(g)
+        gap = lam - c.lambda_star
+        err = abs(muskat.alpha_of_lambda(lam) * gap * math.pi / 2.0 - 1.0)
+        assert err <= gap / 2.0 + 8.0 * math.ulp(c.lambda_star) / gap, gap
 
 
 def test_alpha_strictly_decreasing():
@@ -166,7 +189,6 @@ def test_slope_solves_converge_at_the_window_edges():
     assert 1.0 - 1e-14 < reg.lambda_h < 1.0
     floor = muskat.lambda_floor()
     assert c.lambda_star < floor < c.lambda_star + 1e-8
-    assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
 
 
 def _count_agms(monkeypatch) -> list:
@@ -657,16 +679,11 @@ def test_coexistence_levels_in_shallow_cells(h):
     assert 2 not in [l for l, _ in levels]
 
 
-def test_lambda_floor_is_resolvable_and_bounded(monkeypatch):
+def test_lambda_floor_is_resolvable_and_bounded():
+    # the floor is the first float of the window, and its slope resolves
     floor = muskat.lambda_floor()
-    assert muskat.theta(floor, branch_mod.ALPHA_MAX) < math.pi / 2
-    assert muskat.alpha_of_lambda(floor) <= branch_mod.ALPHA_MAX
-    # the explicit lambda of the cap, at most a few ulps below the floor
-    start = Modulus.of_alpha(branch_mod.ALPHA_MAX).lam
-    assert start <= floor <= start + 4 * math.ulp(start)
-    monkeypatch.setattr(curve_mod, "FLOOR_NUDGES", 0)
-    with pytest.raises(ConvergenceError):
-        branch_mod.lambda_floor.__wrapped__()
+    assert floor == math.nextafter(muskat.constants().lambda_star, 1.0)
+    assert math.isfinite(muskat.alpha_of_lambda(floor))
 
 
 def _oracle_amplitude(lam):
@@ -693,6 +710,18 @@ def test_touching_endpoint_against_mpmath():
         amp = _oracle_amplitude(reg.lambda_h)
         ulp_amp = abs(_oracle_amplitude(reg.lambda_h + math.ulp(reg.lambda_h)) - amp)
         assert abs(amp - h) <= 2e-13 * h + 8 * ulp_amp, h
+
+
+def test_touching_endpoint_next_to_h_star():
+    # just below the h_star band the endpoint still lies in the window and the
+    # fingers reach the wall; which side of it they land on is not pinned
+    c = muskat.constants()
+    for k in range(2, 41):
+        h = c.h_star * (1.0 - k * 1e-9)
+        reg = muskat.lambda_h(PhysicalParams(h=h))
+        assert reg.kind is RegimeKind.TOUCHES_BOUNDARY, k
+        assert reg.lambda_h > c.lambda_star, k
+        assert abs(muskat.branch_amplitude(reg.lambda_h) - h) <= 1e-13, k
 
 
 def test_lambda_of_b_against_mpmath():

@@ -321,22 +321,22 @@ def test_config_validation_names_fields(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["branch", "--n", "3", "--g", "nan"], "grav must be positive"),
-        (["coexist", "--h", "nan"], "h must be positive"),
-        (["classify", "--rho-plus", "nan"], "rho_plus must exceed rho_minus"),
-        (["constants", "--rho-minus", "nan"], "rho_plus must exceed rho_minus"),
+        (["branch", "--n", "3", "--g", "nan"], "grav must be finite"),
+        (["coexist", "--h", "nan"], "h must be finite"),
+        (["classify", "--rho-plus", "nan"], "rho_plus must be finite"),
+        (["constants", "--rho-minus", "nan"], "rho_minus must be finite"),
     ],
 )
 def test_nan_physical_flags_are_bad_input(tmp_path, capsys, argv, message):
     out = tmp_path / "t.out"
     assert run(argv + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
 def test_nan_in_a_config_file_names_the_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for text, message in [('{"h": NaN}', "h must be positive"), ('{"grav": NaN}', "grav must be positive")]:
+    for text, message in [('{"h": NaN}', "h must be finite"), ('{"grav": NaN}', "grav must be finite")]:
         cfg.write_text(text)  # Python's json reads the NaN literal
         for cmd in (["classify"], ["branch", "--n", "3"], ["coexist"]):
             assert run(cmd + ["--config", str(cfg)]) == 2
@@ -637,6 +637,39 @@ def test_gamma_outside_zero_to_infinity_is_bad_input(tmp_path, capsys, command, 
     assert run([command, "--gamma", gamma, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {gamma}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("l", ["1", "2", "3"])
+@pytest.mark.parametrize("gamma", ["-1", "0", "inf", "nan"])
+def test_profile_gamma_message_quotes_the_given_gamma(tmp_path, capsys, l, gamma):
+    # checked before the mode scaling: the message quotes the gamma given, for every l
+    out = tmp_path / "t.out"
+    assert run(["profile", "--gamma", gamma, "--l", l, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {float(gamma)}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-1E-3", "-inf", "-nan", "-2.5e0"])
+def test_exponent_form_negative_values_are_values(tmp_path, capsys, value):
+    # argparse alone takes "--rho-minus -1e-3" as a flag missing its value;
+    # both spellings must parse to the same run: the same bytes, or the same error
+    for fmt in ("csv", "json"):
+        spaced, joined = tmp_path / f"spaced.{fmt}", tmp_path / f"joined.{fmt}"
+        code = run(["branch", "--rho-minus", value, "--n", "10", "--format", fmt, "--out", str(spaced)])
+        err = capsys.readouterr().err
+        assert code == run(["branch", f"--rho-minus={value}", "--n", "10", "--format", fmt, "--out", str(joined)])
+        assert err == capsys.readouterr().err
+        if code == 0:
+            assert spaced.read_bytes() == joined.read_bytes()
+        else:
+            assert not spaced.exists() and not joined.exists()
+
+
+def test_a_non_numeric_dash_token_is_still_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--rho-minus", "-x", "--n", "10"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --rho-minus: expected one argument\n")
 
 
 #: invocations the parser refuses or answers itself, after a valid command name

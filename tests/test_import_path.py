@@ -141,7 +141,7 @@ def test_public_names_are_their_defining_objects():
 
 def test_branch_keeps_its_names_as_the_scalar_objects():
     curve_mod = importlib.import_module("muskat.curve")
-    for name in [*BRANCH_NAMES, "ALPHA_MAX", "H_STAR_REL_TOL"]:
+    for name in [*BRANCH_NAMES, "H_STAR_REL_TOL"]:
         assert hasattr(branch_mod, name), name
     assert not hasattr(branch_mod, "_slope_root")  # expansion-check solves in b
     for name in curve_mod.__all__:

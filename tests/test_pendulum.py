@@ -237,9 +237,10 @@ def test_lambda_of_period_inverts_the_formula():
 
 
 def test_lambda_of_period_round_trip_up_to_the_floor():
-    # one solve in the slope reaches every period up to that of lambda_floor
+    # one solve in the slope reaches every period from that of the first
+    # float above lambda_star (lambda_floor) to a gap of 0.7
     c = muskat.constants()
-    floor = muskat.lambda_floor()
+    floor = math.nextafter(c.lambda_star, 1.0)
     gaps = np.logspace(math.log10(floor - c.lambda_star), math.log10(0.7), 25)
     for lam in [floor, *(c.lambda_star + gaps[1:])]:
         L = muskat.pendulum_period(lam)
@@ -247,10 +248,12 @@ def test_lambda_of_period_round_trip_up_to_the_floor():
         assert back >= floor
         assert back == pytest.approx(lam, rel=1e-12)
         assert muskat.pendulum_period(back) == pytest.approx(L, rel=1e-13)
-    L_floor = muskat.pendulum_period(floor)
-    with pytest.raises(OutOfRangeError) as info:
-        pendulum_mod.lambda_of_period(L_floor + 1e-9)
-    assert info.value.window == (2.0 * math.pi, L_floor)
+    # lambda_star itself is not a branch point: L = 4/lambda_star and beyond are refused
+    L_star = 4.0 / c.lambda_star
+    for L in (L_star, L_star + 1e-9, 100.0, math.inf):
+        with pytest.raises(OutOfRangeError, match="L=") as info:
+            pendulum_mod.lambda_of_period(L)
+        assert info.value.window == (2.0 * math.pi, L_star)
 
 
 def _arclength(profile, n_intervals=4096):
